@@ -212,6 +212,8 @@ def gap_table(config: ExperimentConfig) -> list:
                 "refinement_delta": est.refinement_delta,
                 "truncation_mass": est.truncation_mass,
                 "converged": est.converged,
+                "eig_residual": est.eig_residual,
+                "top_residual": est.top_residual,
             })
     return out
 

@@ -8,23 +8,34 @@ level-set function ``ell``: its transition kernel is
 a Lebesgue-Stieltjes integral against the decreasing ``ell``.  Writing
 ``G(a) = int_a^inf s^{-1} d(-ell)(s)``, the stationary flux density of the
 chain is ``G(max(t, u))`` -- symmetric in (t, u) -- so the discrete kernel
-is assembled as a symmetric flux matrix over grid cells and then row
-normalized.  This keeps detailed balance and stationarity of the cell
-weights exact up to rounding, while each entry still approximates
-``P(node_i, cell_j)`` of the formula above.  ``d(-ell)`` is realized as
-first differences of ``ell`` on a refinement grid, so only evaluations of
-``ell`` are ever needed.
+is a symmetric flux matrix over grid cells, row normalized.  This keeps
+detailed balance and stationarity of the cell weights exact up to
+rounding, while each entry still approximates ``P(node_i, cell_j)`` of the
+formula above.  ``d(-ell)`` is realized as first differences of ``ell`` on
+a refinement grid, so only evaluations of ``ell`` are ever needed.
+
+The flux matrix is semiseparable: for cells ``i < j`` its entry is
+``len_i * A_j`` (the length of cell i times the integral of G over cell
+j), so every off-diagonal block has rank one.  A :class:`DiscreteKernel`
+stores only the generators ``(len_cell, A, diag)`` and applies the flux to
+a vector in O(n) with two cumulative sums; the dense matrices are built
+only when asked for.  The spectral gap comes from Lanczos iteration
+(ARPACK through ``scipy.sparse.linalg.eigsh``) on the symmetrized kernel
+with its known top eigenpair ``(1, sqrt(weights))`` projected out, so a
+certificate at n cells costs O(n) memory and O(n) work per iteration.
+``certify_gap`` runs the mass-truncation search once and spans its
+doubled grid over the same levels.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import DegenerateSupportError, DomainError, InvalidLevelSetError
 from .levelset import LevelSetFunction
@@ -68,73 +79,103 @@ class TGrid:
         return 0.5 * (b[:-1] + b[1:])
 
 
+def _mass_window(ell: LevelSetFunction, s_sup: float, depth: float):
+    """``ell(e^s) e^s`` on 32768 points of ``[s_sup - depth, s_sup]``.
+
+    Returns the grid, the values divided by their maximum and the log of
+    their trapezoid integral.
+    """
+    grid = np.linspace(s_sup - depth, s_sup, 1 << 15)
+    lm = ell.log(grid) + grid
+    finite = np.isfinite(lm)
+    vals = np.zeros(grid.shape)
+    if not np.any(finite):
+        return grid, vals, -math.inf
+    top = np.max(lm[finite])
+    vals[finite] = np.exp(lm[finite] - top)
+    return grid, vals, top + math.log(np.trapezoid(vals, dx=grid[1] - grid[0]) + 1e-300)
+
+
 def build_tgrid(ell: LevelSetFunction, n: int = 2048,
                 mass_tol: float = 1e-8) -> TGrid:
     """Log-spaced grid from a mass-truncated lower level up to the support sup.
 
-    The lower boundary is found by bisection so that the stationary mass
-    below it is at most ``mass_tol`` of the total.
+    The window below the supremum is doubled until the stationary mass it
+    holds stops growing.  The lower boundary is then the highest point of
+    that window with at most ``mass_tol`` of the mass below it, read off
+    the window's cumulative trapezoid sums, so the reported truncation
+    mass never exceeds ``mass_tol``.
     """
     s_sup = ell.log_support_sup
     if not math.isfinite(s_sup):
         raise DomainError("grid construction requires a finite support supremum")
 
-    def tail_mass(s_lo: float, m: int = 4096) -> float:
-        # integral of ell(e^s) e^s below s_lo, relative units
-        depth_grid = np.linspace(s_lo - 200.0, s_lo, m)
-        return _log_mass(ell, depth_grid)
-
-    def _log_mass(e, grid):
-        lm = e.log(grid) + grid
-        finite = np.isfinite(lm)
-        if not np.any(finite):
-            return -math.inf
-        top = np.max(lm[finite])
-        vals = np.zeros(grid.shape)
-        vals[finite] = np.exp(lm[finite] - top)
-        h = grid[1] - grid[0]
-        return top + math.log(np.trapezoid(vals, dx=h) + 1e-300)
-
-    # total mass over a generous window below the supremum
     depth = 64.0
-    total = _log_mass(ell, np.linspace(s_sup - depth, s_sup, 1 << 15))
+    total = _mass_window(ell, s_sup, depth)[2]
     while True:
-        wider = _log_mass(ell, np.linspace(s_sup - 2 * depth, s_sup, 1 << 15))
+        grid, vals, wider = _mass_window(ell, s_sup, 2 * depth)
         if wider - total < 1e-12:
-            break
+            # cum[j] is proportional to the mass below grid[j + 1]
+            cum = np.cumsum(vals[1:] + vals[:-1])
+            k = int(np.searchsorted(cum, mass_tol * cum[-1], side="right"))
+            if k > 0:
+                break
+            # a single window step holds more than mass_tol: widen
         total, depth = wider, 2 * depth
         if depth > 1e5:
-            raise DomainError("stationary mass does not concentrate; cannot build grid")
+            raise DomainError("stationary mass does not concentrate within "
+                              "mass_tol; cannot build grid")
+    return TGrid(boundaries=np.linspace(grid[k], s_sup, n + 1),
+                 truncation_mass=float(cum[k - 1] / cum[-1]))
 
-    target_log = total + math.log(mass_tol)
-    lo, hi = s_sup - 4 * depth, s_sup - 1e-9
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if tail_mass(mid) < target_log:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-10 * max(1.0, abs(hi)):
-            break
-    s_min = 0.5 * (lo + hi)
-    trunc = math.exp(tail_mass(s_min) - total)
-    return TGrid(boundaries=np.linspace(s_min, s_sup, n + 1),
-                 truncation_mass=trunc)
+
+def _flux_matvec(len_cell: np.ndarray, A: np.ndarray, diag: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """``F @ x`` for ``F_ij = len_i A_j`` (i < j), symmetric, diagonal ``diag``."""
+    above = np.zeros(x.shape)     # sum over j > i of A_j x_j
+    above[:-1] = np.cumsum((A * x)[:0:-1])[::-1]
+    below = np.zeros(x.shape)     # sum over j < i of len_j x_j
+    below[1:] = np.cumsum((len_cell * x)[:-1])
+    return len_cell * above + A * below + diag * x
 
 
 @dataclass(frozen=True)
 class DiscreteKernel:
-    """Row-stochastic discretization of the level-chain kernel."""
+    """Row-stochastic discretization of the level-chain kernel.
 
-    matrix: np.ndarray           # n x n, rows sum to 1
+    Held as the generators of its symmetric flux matrix ``F``: for
+    ``i < j``, ``F_ij = F_ji = len_cell[i] * A[j]``, and ``F_ii = diag[i]``.
+    ``F`` is scaled to unit total mass, so ``F @ 1 = weights`` and the
+    kernel is ``F_ij / weights[i]``.
+    """
+
+    len_cell: np.ndarray         # cell lengths in scaled level (top level = 1)
+    A: np.ndarray                # integral of G over each cell, scaled
+    diag: np.ndarray             # diagonal of the flux matrix, scaled
     weights: np.ndarray          # stationary cell probabilities
     grid: TGrid
-    flux: np.ndarray             # symmetric flux matrix the kernel came from
     row_defect: float            # TV mismatch vs. independent quadrature weights
 
     @property
     def n(self) -> int:
         return self.weights.size
+
+    def flux_matvec(self, x: np.ndarray) -> np.ndarray:
+        """``flux @ x`` in O(n), from two cumulative sums."""
+        return _flux_matvec(self.len_cell, self.A, self.diag, np.asarray(x, dtype=float))
+
+    @property
+    def flux(self) -> np.ndarray:
+        """Dense symmetric flux matrix, n x n, built on every access."""
+        F = np.triu(np.outer(self.len_cell, self.A), k=1)
+        F = F + F.T
+        np.fill_diagonal(F, self.diag)
+        return F
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense row-stochastic kernel, n x n, built on every access."""
+        return self.flux / self.weights[:, None]
 
 
 def stationary_weights(ell: LevelSetFunction, grid: TGrid) -> np.ndarray:
@@ -176,10 +217,10 @@ def discretize_pt(ell: LevelSetFunction, grid: TGrid,
     """
     b = grid.boundaries
     n = grid.n
-    # global refinement boundaries in log t
-    fine = np.concatenate(
-        [np.linspace(b[i], b[i + 1], refine + 1)[:-1] for i in range(n)] + [b[-1:]]
-    )
+    # global refinement boundaries in log t (cell by cell, the same values
+    # np.linspace gives)
+    step = np.diff(b) / refine
+    fine = np.append((b[:-1, None] + np.arange(refine) * step[:, None]).ravel(), b[-1])
     lv_log = ell.log(fine)
     top = np.max(lv_log[np.isfinite(lv_log)])
     lv = np.where(np.isfinite(lv_log), np.exp(lv_log - top), 0.0)
@@ -210,15 +251,11 @@ def discretize_pt(ell: LevelSetFunction, grid: TGrid,
                     minlength=n)
     len_cell = np.bincount(cell_of, weights=lengths, minlength=n)
 
-    F = np.triu(np.outer(len_cell, A), k=1)
-    F = F + F.T
-    np.fill_diagonal(F, 2.0 * B)
-
-    w = F.sum(axis=1)
+    w = _flux_matvec(len_cell, A, 2.0 * B, np.ones(n))
     if np.any(w <= 0.0):
         raise DegenerateSupportError("a grid cell carries no flux")
-    matrix = F / w[:, None]
-    weights = w / w.sum()
+    total = w.sum()
+    weights = w / total
 
     # quadrature defect: total-variation distance between the kernel's
     # implied stationary cell masses and an independent Simpson quadrature
@@ -226,13 +263,18 @@ def discretize_pt(ell: LevelSetFunction, grid: TGrid,
     # truncated (0, t_min) tail, which the Simpson reference cannot see)
     ref_weights = stationary_weights(ell, grid)
     row_defect = float(0.5 * np.abs(weights - ref_weights).sum())
-    return DiscreteKernel(matrix=matrix, weights=weights, grid=grid,
-                          flux=F / w.sum(), row_defect=row_defect)
+    return DiscreteKernel(len_cell=len_cell, A=A / total, diag=2.0 * B / total,
+                          weights=weights, grid=grid, row_defect=row_defect)
 
 
 @dataclass(frozen=True)
 class GapEstimate:
-    """Spectral gap of a discretized kernel plus self-description."""
+    """Spectral gap of a discretized kernel plus self-description.
+
+    ``eig_residual`` is ``||S v - lambda2 v||_2`` of the returned Ritz pair
+    and ``top_residual`` is ``||S sqrt(w) - sqrt(w)||_inf``, where ``S`` is
+    the symmetrized kernel and ``w`` its weights.
+    """
 
     gap: float
     lambda2: float
@@ -240,6 +282,8 @@ class GapEstimate:
     truncation_mass: float
     refinement_delta: Optional[float] = None
     converged: Optional[bool] = None
+    eig_residual: Optional[float] = None
+    top_residual: Optional[float] = None
 
     def to_dict(self) -> dict:
         out = {
@@ -247,6 +291,8 @@ class GapEstimate:
             "lambda2": self.lambda2,
             "grid_size": self.grid_size,
             "truncation_mass": self.truncation_mass,
+            "eig_residual": self.eig_residual,
+            "top_residual": self.top_residual,
         }
         if self.refinement_delta is not None:
             out["refinement_delta"] = self.refinement_delta
@@ -255,15 +301,31 @@ class GapEstimate:
 
 
 def spectral_gap(kernel: DiscreteKernel) -> GapEstimate:
-    """1 minus the second-largest eigenvalue of the symmetrized kernel."""
-    w = kernel.weights
-    sq = np.sqrt(w)
-    A = kernel.flux / np.outer(sq, sq)
-    n = A.shape[0]
-    top2 = scipy.linalg.eigh(A, eigvals_only=True, subset_by_index=[n - 2, n - 1])
-    lam2, lam1 = float(top2[0]), float(top2[1])
-    if abs(lam1 - 1.0) > 1e-8:
-        warnings.warn(f"leading eigenvalue {lam1} deviates from 1", stacklevel=2)
+    """1 minus the second-largest eigenvalue of the symmetrized kernel.
+
+    ``S = W^{-1/2} F W^{-1/2}`` has the top eigenpair ``(1, sqrt(w))``.
+    Lanczos runs on ``S`` with that pair projected out, from a fixed start
+    vector, so the result is a deterministic function of the kernel.
+    """
+    sq = np.sqrt(kernel.weights)
+    n = sq.size
+
+    def sym(x):
+        return kernel.flux_matvec(x / sq) / sq
+
+    def deflated(x):
+        x = x - sq * (sq @ x)
+        y = sym(x)
+        return y - sq * (sq @ y)
+
+    op = LinearOperator((n, n), matvec=deflated, dtype=float)
+    vals, vecs = eigsh(op, k=1, which="LA", tol=0, v0=sq * np.linspace(-1.0, 1.0, n))
+    lam2, v = float(vals[0]), vecs[:, 0]
+    eig_residual = float(np.linalg.norm(sym(v) - lam2 * v))
+    top_residual = float(np.max(np.abs(sym(sq) - sq)))
+    if top_residual > 1e-8:
+        warnings.warn(f"top eigenpair (1, sqrt(weights)) has residual {top_residual}",
+                      stacklevel=2)
     if lam2 < -1e-8:
         warnings.warn(
             f"second eigenvalue {lam2} is negative beyond tolerance; "
@@ -271,19 +333,23 @@ def spectral_gap(kernel: DiscreteKernel) -> GapEstimate:
             stacklevel=2,
         )
     return GapEstimate(gap=1.0 - lam2, lambda2=lam2, grid_size=kernel.n,
-                       truncation_mass=kernel.grid.truncation_mass)
+                       truncation_mass=kernel.grid.truncation_mass,
+                       eig_residual=eig_residual, top_residual=top_residual)
 
 
 def certify_gap(ell: LevelSetFunction, n: int = 2048, mass_tol: float = 1e-8,
                 refine: int = 16, refinement_tol: float = 0.005) -> GapEstimate:
-    """Gap at grid size n with a grid-doubling convergence diagnostic."""
-    est = spectral_gap(discretize_pt(ell, build_tgrid(ell, n, mass_tol), refine))
-    est2 = spectral_gap(discretize_pt(ell, build_tgrid(ell, 2 * n, mass_tol), refine))
+    """Gap at grid size n with a grid-doubling convergence diagnostic.
+
+    The truncation search runs once; the 2n grid spans the same levels.
+    """
+    grid = build_tgrid(ell, n, mass_tol)
+    b = grid.boundaries
+    grid2 = TGrid(np.linspace(b[0], b[-1], 2 * n + 1), grid.truncation_mass)
+    est = spectral_gap(discretize_pt(ell, grid, refine))
+    est2 = spectral_gap(discretize_pt(ell, grid2, refine))
     delta = abs(est.gap - est2.gap)
-    return GapEstimate(gap=est.gap, lambda2=est.lambda2, grid_size=n,
-                       truncation_mass=est.truncation_mass,
-                       refinement_delta=delta,
-                       converged=delta <= refinement_tol)
+    return replace(est, refinement_delta=delta, converged=delta <= refinement_tol)
 
 
 @dataclass(frozen=True)

@@ -166,8 +166,12 @@ def level_interval(target: RadialTarget, fac: RadialFactorization,
     if r_mode == 0.0:
         r_lo = 0.0
         anchor = min(1.0, 0.5 * kappa)
-        while lh(anchor) < log_t:
+        for _ in range(_MAX_EXPANSIONS):
+            if lh(anchor) >= log_t:
+                break
             anchor *= 0.5
+        else:
+            raise NoRootError("lower anchor search failed; profile never reaches the level")
     else:
         anchor = r_mode
         a = 0.5 * r_mode
@@ -249,6 +253,8 @@ def level_bounds(target: RadialTarget, fac: RadialFactorization,
             if not np.any(bad):
                 break
             anchor[bad] *= 0.5
+        else:
+            raise NoRootError("lower anchor search failed; profile never reaches the level")
     else:
         anchor = np.full(n, r_mode)
         a = np.full(n, 0.5 * r_mode)

@@ -105,8 +105,10 @@ class TestGapTable:
         by_alpha = {row["alpha"]: row for row in table}
         for row in table:
             for key in ("target", "alpha", "d", "gap", "lambda2", "grid_size",
-                        "refinement_delta", "truncation_mass"):
+                        "refinement_delta", "truncation_mass", "eig_residual",
+                        "top_residual"):
                 assert key in row
+            assert row["eig_residual"] <= 1e-12 and row["top_residual"] <= 1e-12
         # USS mixes far slower than PSS on the same target; the Lambda_d
         # structure gives only a 1/(d+1) guarantee and it is tight here
         assert by_alpha[0.0]["gap"] <= 0.2

@@ -1,10 +1,13 @@
 """Tests for the discretized level-chain kernel and gap certification."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import slicegap.kernel as kernelmod
 from slicegap.errors import DomainError, InvalidLevelSetError
 from slicegap.kernel import (
     DiscreteKernel,
@@ -70,6 +73,23 @@ class TestTGrid:
         assert grid.n == 256
         assert grid.boundaries[-1] == pytest.approx(ell.log_support_sup)
         assert grid.truncation_mass <= 1.5e-8
+
+    @pytest.mark.parametrize("mass_tol", [1e-8, 1e-10])
+    def test_truncation_mass_within_tolerance(self, mass_tol):
+        for target, fac in [(exponential(5), PSS(5)), (exponential(30), USS()),
+                            (volcano(10, 2.0), PSS(10))]:
+            ell = level_set_function(target, fac)
+            grid = build_tgrid(ell, 64, mass_tol=mass_tol)
+            assert 0.0 <= grid.truncation_mass <= mass_tol
+            assert grid.boundaries[-1] == ell.log_support_sup
+
+    def test_tiny_mass_tol_widens_window(self):
+        # one step of the first, 128-deep window holds more than 1e-60 of
+        # the mass, so the search has to widen the window
+        ell = level_set_function(exponential(5), PSS(5))
+        grid = build_tgrid(ell, 64, mass_tol=1e-60)
+        assert 0.0 <= grid.truncation_mass <= 1e-60
+        assert grid.boundaries[0] < ell.log_support_sup - 128.0
 
     def test_infinite_support_rejected(self):
         # USS on the radial-weighted profile has unbounded h, so no top level
@@ -145,6 +165,29 @@ class TestDiscretizePt:
         dk = discretize_pt(ell, build_tgrid(ell, 2048))
         assert dk.row_defect <= 1e-6
 
+    def test_refinement_grid_matches_cellwise_linspace(self):
+        ell = level_set_function(exponential(5), PSS(5))
+        grid = build_tgrid(ell, 300)
+        seen = []
+
+        def recording(lt):
+            seen.append(lt.copy())
+            return ell.log_eval(lt)
+        discretize_pt(replace(ell, log_eval=recording), grid, refine=16)
+        b = grid.boundaries
+        cellwise = np.concatenate([np.linspace(b[i], b[i + 1], 17)[:-1]
+                                   for i in range(300)] + [b[-1:]])
+        assert np.array_equal(seen[0], cellwise)
+
+    def test_matvec_matches_dense_flux(self):
+        ell = level_set_function(exponential(5), PSS(5))
+        dk = discretize_pt(ell, build_tgrid(ell, 512))
+        x = np.random.default_rng(7).standard_normal(512)
+        dense = dk.flux @ x
+        err = np.linalg.norm(dk.flux_matvec(x) - dense) / np.linalg.norm(dense)
+        assert err <= 1e-13
+        assert np.max(np.abs(dk.flux_matvec(np.ones(512)) / dk.weights - 1.0)) < 1e-12
+
     def test_non_monotone_ell_rejected(self):
         def bumpy(s):
             s = np.asarray(s, dtype=float)
@@ -157,24 +200,44 @@ class TestDiscretizePt:
 
 
 class TestSpectralGap:
-    def _kernel_from_flux(self, flux):
-        w = flux.sum(axis=1)
-        return DiscreteKernel(matrix=flux / w[:, None], weights=w / w.sum(),
-                              grid=TGrid(boundaries=np.linspace(-1, 0, flux.shape[0] + 1)),
-                              flux=flux / w.sum(), row_defect=0.0)
+    def _kernel_from_generators(self, len_cell, A, diag):
+        grid = TGrid(boundaries=np.linspace(-1, 0, diag.size + 1))
+        dk = DiscreteKernel(len_cell=len_cell, A=A, diag=diag, weights=np.ones(diag.size),
+                            grid=grid, row_defect=0.0)
+        return replace(dk, weights=dk.flux_matvec(np.ones(diag.size)))
 
     def test_identity_kernel_gap_zero(self):
         w = np.array([0.4, 0.35, 0.25])
-        dk = self._kernel_from_flux(np.diag(w))
+        dk = self._kernel_from_generators(np.zeros(3), np.zeros(3), w)
         est = spectral_gap(dk)
         assert est.gap == pytest.approx(0.0, abs=1e-12)
         assert est.lambda2 == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_one_kernel_gap_one(self):
         w = np.array([0.5, 0.3, 0.2])
-        dk = self._kernel_from_flux(np.outer(w, w))
+        dk = self._kernel_from_generators(w, w, w * w)
         est = spectral_gap(dk)
         assert est.gap == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("target,fac", [(exponential(5), PSS(5)),
+                                            (volcano(10, 2.0), PSS(10)),
+                                            (exponential(30), USS())])
+    def test_lanczos_matches_dense_eigh(self, target, fac):
+        ell = level_set_function(target, fac)
+        dk = discretize_pt(ell, build_tgrid(ell, 256))
+        sq = np.sqrt(dk.weights)
+        lam = scipy.linalg.eigh(dk.flux / np.outer(sq, sq), eigvals_only=True,
+                                subset_by_index=[254, 255])
+        est = spectral_gap(dk)
+        assert abs(est.lambda2 - lam[0]) <= 1e-12
+        assert abs(est.gap - (1.0 - lam[0])) <= 1e-12
+        assert est.eig_residual <= 1e-12 and est.top_residual <= 1e-12
+
+    def test_deterministic(self):
+        ell = level_set_function(volcano(5, 2.0), PSS(5))
+        dk = discretize_pt(ell, build_tgrid(ell, 1024))
+        first, second = spectral_gap(dk), spectral_gap(dk)
+        assert first == second
 
     def test_pss_exponential_d10(self):
         ell = level_set_function(exponential(10), PSS(10))
@@ -198,14 +261,58 @@ class TestSpectralGap:
         assert est.converged and est.refinement_delta <= 0.005
         payload = est.to_dict()
         for key in ("gap", "lambda2", "grid_size", "truncation_mass",
-                    "refinement_delta"):
+                    "refinement_delta", "eig_residual", "top_residual"):
             assert key in payload
+
+    def test_certify_searches_truncation_once(self, monkeypatch):
+        ell = level_set_function(exponential(5), PSS(5))
+        calls = [0]
+
+        def counting(lt):
+            calls[0] += 1
+            return ell.log_eval(lt)
+        counted = replace(ell, log_eval=counting)
+
+        grids = []
+        discretize = kernelmod.discretize_pt
+
+        def recording(e, grid, refine=16):
+            grids.append(grid)
+            return discretize(e, grid, refine)
+        monkeypatch.setattr(kernelmod, "discretize_pt", recording)
+
+        certify_gap(counted, n=256)
+        certify_calls = calls[0]
+        calls[0] = 0
+        build_tgrid(counted, 256)
+        search_calls = calls[0]
+        calls[0] = 0
+        discretize(counted, grids[0])
+        discretize(counted, grids[1])
+        assert certify_calls == search_calls + calls[0]
+        assert np.array_equal(grids[0].boundaries, build_tgrid(ell, 256).boundaries)
+        assert np.array_equal(grids[1].boundaries, build_tgrid(ell, 512).boundaries)
 
     def test_truncation_stability(self):
         ell = level_set_function(exponential(5), PSS(5))
         g8 = spectral_gap(discretize_pt(ell, build_tgrid(ell, 512, 1e-8))).gap
         g10 = spectral_gap(discretize_pt(ell, build_tgrid(ell, 512, 1e-10))).gap
         assert abs(g8 - g10) <= 0.005
+
+
+class TestExactAnchors:
+    @pytest.mark.parametrize("target,fac,exact", [
+        (exponential(30), USS(), 1.0 / 31.0),
+        (radial_weighted_exponential(5), PSS(5), 0.5),
+    ])
+    def test_error_shrinks_with_grid(self, target, fac, exact):
+        # the error falls about 4x per doubling; past n = 2^14 it floors
+        # near 1e-8 because of the mass truncation
+        ell = level_set_function(target, fac)
+        errs = [abs(spectral_gap(discretize_pt(ell, build_tgrid(ell, n))).gap - exact)
+                for n in (2048, 4096, 8192)]
+        assert errs[0] >= 3.0 * errs[1] and errs[1] >= 3.0 * errs[2]
+        assert errs[2] <= 3e-7
 
 
 class TestDuality:

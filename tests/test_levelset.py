@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from slicegap.errors import DomainError, EmptyLevelError
+from slicegap.errors import DomainError, EmptyLevelError, NoRootError
 from slicegap.levelset import (
     canonical_inverse_phi,
     canonical_potential,
@@ -20,6 +20,7 @@ from slicegap.levelset import (
 )
 from slicegap.targets import (
     RadialFactorization,
+    RadialTarget,
     exponential,
     gaussian,
     log_h,
@@ -88,6 +89,16 @@ class TestLevelInterval:
                 assert log_h(target, fac, iv.r_hi) == pytest.approx(log_t, abs=1e-10)
                 if iv.r_lo > 0.0:
                     assert log_h(target, fac, iv.r_lo) == pytest.approx(log_t, abs=1e-10)
+
+    def test_unreachable_level_raises(self):
+        # a flat profile never climbs to the level, so the anchor search
+        # toward r = 0 must stop with a named error instead of halving on
+        flat = RadialTarget(phi=lambda r: 0.0 * r, dphi=lambda r: 0.0 * r, tag="flat")
+        with pytest.raises(NoRootError):
+            level_interval(flat, USS(), 1.0, r_mode=0.0, log_sup=math.inf)
+        with pytest.raises(NoRootError):
+            level_bounds(flat, USS(), np.array([-1.0, 1.0]), r_mode=0.0,
+                         log_sup=math.inf)
 
     def test_vectorized_matches_scalar(self):
         target = gaussian(6)
