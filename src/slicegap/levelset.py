@@ -2,8 +2,10 @@
 
 The slice profile ``h_alpha(r) = r^alpha exp(-phi(r))`` of an in-class
 target is unimodal, so every super level set ``{r : h_alpha(r) > t}`` is an
-interval.  This module locates the interval endpoints by bisection on the
-two monotone branches, evaluates the generalized level-set function
+interval.  This module locates the interval endpoints on the two monotone
+branches (bisection for one level, a safeguarded Newton iteration in
+``log r`` for arrays of levels), evaluates the generalized level-set
+function
 
     ell(t) = sigma_{d-1} / (d - alpha) * (r_hi^{d-alpha} - r_lo^{d-alpha}),
 
@@ -40,7 +42,10 @@ __all__ = [
 ]
 
 _MAX_EXPANSIONS = 200
-_VEC_BISECT_ITERS = 110
+# Levels per level_bounds chunk; keeps the solver's working arrays small.
+_CHUNK = 1 << 13
+# Newton stopping tolerance in u = log r, relative to max(|u|, 1): 4 ulp.
+_U_TOL = 4.0 * np.finfo(float).eps
 _REL_TOL = 1e-13
 
 
@@ -135,7 +140,7 @@ def log_h_sup(target: RadialTarget, fac: RadialFactorization,
 
 
 # ---------------------------------------------------------------------------
-# Level intervals: scalar and vectorized bisection
+# Level intervals: scalar bisection and vectorized safeguarded Newton
 # ---------------------------------------------------------------------------
 
 def _log_h_scalar(target: RadialTarget, alpha: float, r: float) -> float:
@@ -186,12 +191,16 @@ def level_interval(target: RadialTarget, fac: RadialFactorization,
             r_lo = 0.0
         else:
             b = r_mode
-            while b - a > _REL_TOL * max(b, 1.0):
+            for _ in range(_MAX_EXPANSIONS):
+                if not b - a > _REL_TOL * max(b, 1.0):
+                    break
                 m = 0.5 * (a + b)
                 if lh(m) > log_t:
                     b = m
                 else:
                     a = m
+            else:
+                raise NoRootError("lower endpoint bisection did not converge")
             r_lo = 0.5 * (a + b)
 
     # --- upper endpoint --------------------------------------------------
@@ -215,12 +224,16 @@ def level_interval(target: RadialTarget, fac: RadialFactorization,
             hi *= 2.0
     if not ok:
         raise NoRootError("upper bracket expansion failed; profile does not decay")
-    while hi - lo > _REL_TOL * max(hi, 1.0):
+    for _ in range(_MAX_EXPANSIONS):
+        if not hi - lo > _REL_TOL * max(hi, 1.0):
+            break
         m = 0.5 * (lo + hi)
         if lh(m) > log_t:
             lo = m
         else:
             hi = m
+    else:
+        raise NoRootError("upper endpoint bisection did not converge")
     r_hi = 0.5 * (lo + hi)
     return LevelInterval(r_lo=r_lo, r_hi=r_hi)
 
@@ -229,86 +242,140 @@ def level_bounds(target: RadialTarget, fac: RadialFactorization,
                  log_t: np.ndarray,
                  r_mode: Optional[float] = None,
                  log_sup: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`level_interval` over an array of log levels."""
-    log_t = np.asarray(log_t, dtype=float)
+    """Vectorized :func:`level_interval` over an array of log levels.
+
+    Brackets each endpoint like :func:`level_interval`, then solves in
+    ``u = log r`` with a safeguarded Newton iteration that stops on a
+    tolerance.  Levels are processed in chunks of ``_CHUNK`` so that the
+    working arrays stay small.
+    """
+    log_t = np.asarray(log_t, dtype=float).ravel()
     if r_mode is None:
         r_mode = mode_radius(target, fac)
     if log_sup is None:
         log_sup = log_h_sup(target, fac, r_mode)
     if np.any(log_t >= log_sup):
         raise EmptyLevelError("some levels are not below the profile supremum")
-    alpha = fac.alpha
+    r_lo = np.empty(log_t.size)
+    r_hi = np.empty(log_t.size)
+    for start in range(0, log_t.size, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        r_lo[part], r_hi[part] = _level_bounds_chunk(target, fac.alpha, r_mode,
+                                                     log_t[part])
+    return r_lo, r_hi
+
+
+def _level_bounds_chunk(target: RadialTarget, alpha: float, r_mode: float,
+                        log_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     kappa = target.kappa
     n = log_t.size
 
-    def lh(r: np.ndarray) -> np.ndarray:
-        return alpha * np.log(r) - target.phi_vec(r)
+    def excess(r: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """``lh(r) - log_t`` for the elements ``idx`` still searching."""
+        return alpha * np.log(r) - target.phi_vec(r) - log_t[idx]
 
     # --- lower endpoint and anchor for the upper branch ------------------
+    r_lo = np.zeros(n)
+    idx = np.arange(n)
     if r_mode == 0.0:
-        r_lo = np.zeros(n)
         anchor = np.full(n, min(1.0, 0.5 * kappa))
         for _ in range(_MAX_EXPANSIONS):
-            bad = lh(anchor) < log_t
-            if not np.any(bad):
+            idx = idx[excess(anchor[idx], idx) < 0.0]
+            if idx.size == 0:
                 break
-            anchor[bad] *= 0.5
+            anchor[idx] *= 0.5
         else:
             raise NoRootError("lower anchor search failed; profile never reaches the level")
     else:
         anchor = np.full(n, r_mode)
         a = np.full(n, 0.5 * r_mode)
-        active = np.ones(n, dtype=bool)
         for _ in range(_MAX_EXPANSIONS):
-            active &= lh(a) > log_t
-            if not np.any(active):
+            idx = idx[excess(a[idx], idx) > 0.0]
+            if idx.size == 0:
                 break
-            a[active] *= 0.5
-        r_lo = np.zeros(n)
-        solve = ~active  # bracketed elements
+            a[idx] *= 0.5
+        # Elements still searching lie above the level all the way to r = 0.
+        solve = np.ones(n, dtype=bool)
+        solve[idx] = False
         if np.any(solve):
-            lo = a[solve]
-            hi = np.full(lo.shape, r_mode)
-            lt = log_t[solve]
-            for _ in range(_VEC_BISECT_ITERS):
-                m = 0.5 * (lo + hi)
-                above = lh(m) > lt
-                hi = np.where(above, m, hi)
-                lo = np.where(above, lo, m)
-            r_lo[solve] = 0.5 * (lo + hi)
+            u_mode = np.full(int(solve.sum()), math.log(r_mode))
+            r_lo[solve] = _newton_log_radius(target, alpha, log_t[solve],
+                                             u_below=np.log(a[solve]), u_above=u_mode)
 
     # --- upper endpoint ---------------------------------------------------
-    lo = anchor.copy()
+    idx = np.arange(n)
     if math.isfinite(kappa):
-        gap = kappa - lo
-        hi = lo.copy()
-        active = np.ones(n, dtype=bool)
+        hi = anchor.copy()
+        gap = kappa - anchor
         scale = 0.5
         for _ in range(_MAX_EXPANSIONS):
-            hi[active] = kappa - gap[active] * scale
-            active &= lh(hi) > log_t
-            if not np.any(active):
+            hi[idx] = kappa - gap[idx] * scale
+            idx = idx[excess(hi[idx], idx) > 0.0]
+            if idx.size == 0:
                 break
             scale *= 0.5
-        if np.any(active):
+        else:
             raise NoRootError("upper bracket expansion failed at finite cutoff")
     else:
-        hi = np.maximum(2.0 * lo, 1.0)
-        active = np.ones(n, dtype=bool)
+        hi = np.maximum(2.0 * anchor, 1.0)
         for _ in range(_MAX_EXPANSIONS):
-            active &= lh(hi) > log_t
-            if not np.any(active):
+            idx = idx[excess(hi[idx], idx) > 0.0]
+            if idx.size == 0:
                 break
-            hi[active] *= 2.0
-        if np.any(active):
+            hi[idx] *= 2.0
+        else:
             raise NoRootError("upper bracket expansion failed; profile does not decay")
-    for _ in range(_VEC_BISECT_ITERS):
-        m = 0.5 * (lo + hi)
-        above = lh(m) > log_t
-        lo = np.where(above, m, lo)
-        hi = np.where(above, hi, m)
-    r_hi = 0.5 * (lo + hi)
+    r_hi = _newton_log_radius(target, alpha, log_t,
+                              u_below=np.log(hi), u_above=np.log(anchor))
     return r_lo, r_hi
+
+
+def _newton_log_radius(target: RadialTarget, alpha: float, log_t: np.ndarray,
+                       u_below: np.ndarray, u_above: np.ndarray) -> np.ndarray:
+    """Root of ``g(u) = alpha u - phi(e^u) - log_t`` inside each bracket.
+
+    ``g(u_below) <= 0 < g(u_above)``; the ends may be in either order.  A
+    Newton step with ``g'(u) = alpha - r phi'(r)`` is taken when it stays
+    inside the bracket and is shorter than half the step before last,
+    otherwise a bisection step (Press et al., Numerical Recipes, rtsafe).
+    The halving rule keeps near-double roots next to the profile mode from
+    oscillating.  The iteration starts at ``u_below``: for a log-concave
+    profile g is concave in u, so Newton steps from there approach the
+    root from one side without overshooting.  An element stops once its
+    step, which after a bisection is half its bracket, is within
+    ``_U_TOL * max(|u|, 1)``.  Returns the radii ``e^u``.
+    """
+    out = np.empty(log_t.size)
+    idx = np.arange(log_t.size)
+    lt, xb, xa = log_t, u_below, u_above
+    u = xb
+    dx = dxold = np.abs(xa - xb)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_EXPANSIONS):
+            r = np.exp(u)
+            g = alpha * u - target.phi_vec(r) - lt
+            dg = alpha - r * target.dphi_vec(r)
+            up = g > 0.0
+            xa = np.where(up, u, xa)
+            xb = np.where(up, xb, u)
+            step = g / dg
+            new = u - step
+            astep = np.abs(step)
+            newton = (astep < 0.5 * dxold) & ((new - xa) * (new - xb) <= 0.0)
+            dxold = dx
+            dx = np.where(newton, astep, 0.5 * np.abs(xa - xb))
+            u = np.where(newton, new, 0.5 * (xa + xb))
+            done = dx <= _U_TOL * np.maximum(np.abs(u), 1.0)
+            if done.any():
+                out[idx[done]] = u[done]
+                keep = np.flatnonzero(~done)
+                if keep.size == 0:
+                    break
+                idx, u, lt, xa, xb, dx, dxold = (
+                    v.take(keep) for v in (idx, u, lt, xa, xb, dx, dxold))
+        else:
+            raise NoRootError("safeguarded Newton did not converge on the level interval")
+    return np.exp(out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ that nothing overflows even for dimensions in the thousands.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -37,11 +38,30 @@ __all__ = [
 
 
 def _finite_difference(phi: Callable[[float], float]) -> Callable[[float], float]:
-    def dphi(r: float) -> float:
-        h = max(1e-6, 1e-6 * abs(r))
+    def dphi(r):
+        h = np.maximum(1e-6, 1e-6 * np.abs(r))
         return (phi(r + h) - phi(r - h)) / (2.0 * h)
 
     return dphi
+
+
+def _eval_vec(fn: Callable, name: str, r) -> np.ndarray:
+    """Evaluate ``fn`` on an array, element by element if it is scalar-only.
+
+    A constant result is broadcast to the shape of ``r``.  The per-element
+    fallback is orders of magnitude slower, so every call that takes it
+    emits a ``RuntimeWarning``.
+    """
+    r = np.asarray(r, dtype=float)
+    try:
+        out = np.asarray(fn(r), dtype=float)
+    except (TypeError, ValueError):
+        warnings.warn(
+            f"{name} does not accept arrays; evaluating it element by element",
+            RuntimeWarning, stacklevel=3,
+        )
+        return np.array([fn(float(ri)) for ri in r.ravel()]).reshape(r.shape)
+    return out if out.shape == r.shape else np.broadcast_to(out, r.shape)
 
 
 @dataclass(frozen=True)
@@ -70,10 +90,11 @@ class RadialTarget:
 
     def phi_vec(self, r: np.ndarray) -> np.ndarray:
         """Vectorized potential evaluation (phi may be scalar-only)."""
-        try:
-            return np.asarray(self.phi(np.asarray(r, dtype=float)), dtype=float)
-        except (TypeError, ValueError):
-            return np.array([self.phi(float(ri)) for ri in np.atleast_1d(r)])
+        return _eval_vec(self.phi, "phi", r)
+
+    def dphi_vec(self, r: np.ndarray) -> np.ndarray:
+        """Vectorized derivative evaluation (dphi may be scalar-only)."""
+        return _eval_vec(self.dphi, "dphi", r)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """Tests for level intervals, the level-set function and class membership."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import lambertw
 
 from slicegap.errors import DomainError, EmptyLevelError, NoRootError
 from slicegap.levelset import (
@@ -19,11 +23,13 @@ from slicegap.levelset import (
     mode_radius,
 )
 from slicegap.targets import (
+    BUILTIN_TAGS,
     RadialFactorization,
     RadialTarget,
     exponential,
     gaussian,
     log_h,
+    make_builtin,
     radial_weighted_exponential,
     surface_area,
     volcano,
@@ -110,6 +116,94 @@ class TestLevelInterval:
             iv = level_interval(target, fac, float(lt))
             assert lo[i] == pytest.approx(iv.r_lo, rel=1e-10, abs=1e-12)
             assert hi[i] == pytest.approx(iv.r_hi, rel=1e-10)
+
+
+def _mode_and_sup(target, fac):
+    r_mode = mode_radius(target, fac)
+    return r_mode, log_h_sup(target, fac, r_mode)
+
+
+class TestVectorizedSolver:
+    @settings(max_examples=80, deadline=None)
+    @given(tag=st.sampled_from(sorted(BUILTIN_TAGS)),
+           sampler=st.sampled_from(["pss", "uss"]),
+           d=st.integers(min_value=1, max_value=100),
+           depth=st.floats(min_value=1e-3, max_value=60.0))
+    def test_vectorized_matches_scalar_property(self, tag, sampler, d, depth):
+        target = make_builtin(tag, d)
+        fac = PSS(d) if sampler == "pss" else USS()
+        r_mode, sup = _mode_and_sup(target, fac)
+        log_t = (sup if math.isfinite(sup) else 0.0) - depth
+        iv = level_interval(target, fac, log_t, r_mode=r_mode, log_sup=sup)
+        lo, hi = level_bounds(target, fac, np.array([log_t]), r_mode=r_mode,
+                              log_sup=sup)
+        # the scalar bisection stops on a bracket of 1e-13 * max(r, 1)
+        slack = 1e-13 * max(iv.r_hi, 1.0)
+        assert lo[0] == pytest.approx(iv.r_lo, rel=1e-12, abs=slack)
+        assert hi[0] == pytest.approx(iv.r_hi, rel=1e-12, abs=slack)
+
+    @pytest.mark.parametrize("d", [5, 10])
+    def test_exponential_pss_matches_lambert_w(self, d):
+        # (d-1) log r - r = log t has the roots -(d-1) W_k(-t^{1/(d-1)}/(d-1)),
+        # branch k = 0 below the mode and k = -1 above it
+        target, fac = exponential(d), PSS(d)
+        r_mode, sup = _mode_and_sup(target, fac)
+        lts = sup - np.linspace(0.5, 450.0, 400)
+        a = d - 1.0
+        z = -np.exp(lts / a) / a
+        lo, hi = level_bounds(target, fac, lts, r_mode=r_mode, log_sup=sup)
+        np.testing.assert_allclose(lo, -a * lambertw(z, 0).real, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(hi, -a * lambertw(z, -1).real, rtol=1e-13, atol=0)
+
+    def test_evaluation_budget(self):
+        # a fixed 110-step bisection per branch costs 228 phi evaluations
+        # per level; the Newton solve needs about 27 phi + dphi evaluations
+        base, fac = exponential(5), PSS(5)
+        r_mode, sup = _mode_and_sup(base, fac)
+        count = [0]
+
+        def counted(fn):
+            def wrapped(r):
+                count[0] += np.size(r)
+                return fn(r)
+            return wrapped
+
+        target = RadialTarget(phi=counted(base.phi), dphi=counted(base.dphi), dim=5)
+        lts = sup - np.linspace(0.5, 8.0, 10_000)
+        level_bounds(target, fac, lts, r_mode=r_mode, log_sup=sup)
+        assert count[0] / lts.size <= 40
+
+    def test_nan_derivative_converges_by_bisection(self):
+        base, fac = gaussian(4), PSS(4)
+        r_mode, sup = _mode_and_sup(base, fac)
+        stub = RadialTarget(phi=base.phi, dphi=lambda r: np.full(np.shape(r), np.nan),
+                            dim=4)
+        lts = sup - np.array([1e-3, 0.5, 5.0, 40.0])
+        lo, hi = level_bounds(stub, fac, lts, r_mode=r_mode, log_sup=sup)
+        lo_ref, hi_ref = level_bounds(base, fac, lts, r_mode=r_mode, log_sup=sup)
+        np.testing.assert_allclose(lo, lo_ref, rtol=1e-12)
+        np.testing.assert_allclose(hi, hi_ref, rtol=1e-12)
+
+    def _check_against_scalar(self, target, fac, depths):
+        r_mode, sup = _mode_and_sup(target, fac)
+        lts = sup - np.asarray(depths)
+        lo, hi = level_bounds(target, fac, lts, r_mode=r_mode, log_sup=sup)
+        for i, lt in enumerate(lts):
+            iv = level_interval(target, fac, float(lt), r_mode=r_mode, log_sup=sup)
+            assert lo[i] == pytest.approx(iv.r_lo, rel=1e-12, abs=1e-13)
+            assert hi[i] == pytest.approx(iv.r_hi, rel=1e-12, abs=1e-13)
+
+    def test_finite_difference_derivative(self):
+        # without dphi the central difference must run on arrays, silently
+        target = RadialTarget(phi=lambda r: 0.5 * r * r, dim=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            self._check_against_scalar(target, PSS(3), [1e-3, 0.5, 3.0, 12.0])
+
+    def test_scalar_only_phi_warns_and_solves(self):
+        target = RadialTarget(phi=lambda r: 0.5 * math.exp(2.0 * math.log(r)), dim=3)
+        with pytest.warns(RuntimeWarning, match="element by element"):
+            self._check_against_scalar(target, PSS(3), [0.5, 3.0, 12.0])
 
 
 class TestEllEval:

@@ -156,6 +156,11 @@ class TestBuiltins:
         target = RadialTarget(phi=lambda r: r ** 3, dim=2)
         assert target.dphi(2.0) == pytest.approx(12.0, rel=1e-5)
 
+    def test_finite_difference_on_arrays(self):
+        target = RadialTarget(phi=lambda r: r ** 3, dim=2)
+        r = np.array([0.5, 2.0, 1e4])
+        np.testing.assert_allclose(target.dphi(r), 3.0 * r ** 2, rtol=1e-5)
+
 
 class TestConstruction:
     def test_invalid_dim(self):
@@ -170,3 +175,15 @@ class TestConstruction:
         target = RadialTarget(phi=lambda r: float(r) + 1.0, dim=2)
         out = target.phi_vec(np.array([1.0, 2.0]))
         assert np.allclose(out, [2.0, 3.0])
+
+    def test_dphi_vec_scalar_fallback_warns(self):
+        target = RadialTarget(phi=lambda r: float(r) ** 2, dphi=lambda r: 2.0 * float(r),
+                              dim=2)
+        with pytest.warns(RuntimeWarning, match="dphi does not accept arrays"):
+            out = target.dphi_vec(np.array([1.0, 3.0]))
+        np.testing.assert_array_equal(out, [2.0, 6.0])
+
+    def test_dphi_vec_broadcasts_a_constant(self):
+        target = RadialTarget(phi=lambda r: 2.0 * r, dphi=lambda r: 2.0, dim=1)
+        np.testing.assert_array_equal(target.dphi_vec(np.array([0.5, 1.0, 4.0])),
+                                      [2.0, 2.0, 2.0])
