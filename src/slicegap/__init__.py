@@ -13,12 +13,12 @@ from .errors import (
     SliceGapError,
     ZeroVarianceError,
 )
-from .harness import ExperimentConfig, check_lambda, gap_table, iat_sweep, verify
+from .harness import (ExperimentConfig, adjointness_check, check_lambda, gap_table,
+                      iat_sweep, verify)
 from .kernel import (
     DiscreteKernel,
     GapEstimate,
     TGrid,
-    adjointness_check,
     build_tgrid,
     certify_gap,
     discretize_pt,
@@ -49,7 +49,6 @@ from .samplers import (
     run_t_chain,
     run_x_chain,
     sample_direction,
-    sample_radial_stationary,
     t_step_levels,
     t_update,
     x_step_radii,

@@ -1,7 +1,8 @@
 """Discretization of the auxiliary level-chain kernel and gap certification.
 
 The level chain depends on the target only through the generalized
-level-set function ``ell``: its transition kernel is
+level-set function ``ell``, and this module sees nothing else: it imports
+no target code and takes a :class:`LevelSetFunction`.  The kernel is
 
     P(t, B) = (1/ell(t)) * int_t^inf  lambda(B cap (0,s)) / s  d(-ell)(s),
 
@@ -52,7 +53,6 @@ __all__ = [
     "duality_gap_compare",
     "DualityReport",
     "transition_cdf",
-    "adjointness_check",
 ]
 
 
@@ -383,7 +383,7 @@ def duality_gap_compare(ell_a: LevelSetFunction, ell_b: LevelSetFunction,
 
 
 def transition_cdf(ell: LevelSetFunction, log_t: float, log_b: float,
-                   refine_total: int = 1 << 16, depth: float = 0.0) -> float:
+                   refine_total: int = 1 << 16) -> float:
     """P(next level < b | current level t), by quadrature of the kernel.
 
     Evaluates ``(1/ell(t)) int_t^sup min(b, s)/s d(-ell)(s)`` with the
@@ -403,128 +403,3 @@ def transition_cdf(ell: LevelSetFunction, log_t: float, log_b: float,
     bb = math.exp(min(log_b - log_t, 700.0)) if log_b - log_t < 700 else math.inf
     frac = np.minimum(bb, mu) / mu
     return float(np.sum(frac * delta) / lv[0])
-
-
-# ---------------------------------------------------------------------------
-# Adjointness of the two update kernels
-# ---------------------------------------------------------------------------
-
-def _t_moment(tag: str, b: np.ndarray) -> np.ndarray:
-    """Closed-form ``int_0^b g(t) dt`` for the level test functions."""
-    if tag == "one":
-        return b
-    if tag == "t":
-        return 0.5 * b * b
-    if tag == "t2":
-        return b**3 / 3.0
-    if tag == "sin":
-        return 1.0 - np.cos(b)
-    raise DomainError(f"unknown test function {tag}")
-
-
-def _g_eval(tag: str, t: np.ndarray) -> np.ndarray:
-    if tag == "one":
-        return np.ones_like(t)
-    if tag == "t":
-        return t
-    if tag == "t2":
-        return t * t
-    if tag == "sin":
-        return np.sin(t)
-    raise DomainError(f"unknown test function {tag}")
-
-
-def _h_eval(tag: str, r: np.ndarray) -> np.ndarray:
-    if tag == "one":
-        return np.ones_like(r)
-    if tag == "r":
-        return r
-    if tag == "r2":
-        return r * r
-    if tag == "exp":
-        return np.exp(-r)
-    raise DomainError(f"unknown test function {tag}")
-
-
-def adjointness_check(target, fac, n_r: int = 4096, n_t: int = 4096,
-                      g_tags=("one", "t", "t2", "sin"),
-                      h_tags=("one", "r", "r2", "exp")) -> float:
-    """Max normalized residual of the update-kernel adjointness identity.
-
-    Both sides of ``<U_T g, h>_pi = <g, U_X h>_pi-tilde`` are evaluated by
-    independent quadratures over the radial and level variables for every
-    (g, h) pair; the residual is normalized by the product of the function
-    norms.
-    """
-    from scipy.integrate import simpson
-
-    from .levelset import level_bounds, level_set_function, level_interval, \
-        log_h_sup, mode_radius
-    from .targets import RadialFactorization, log_h
-
-    d = target.dim
-    alpha = fac.alpha
-    beta = d - alpha
-    fac_rad = RadialFactorization(float(d - 1))
-    r_mode_rad = mode_radius(target, fac_rad)
-    sup_rad = log_h_sup(target, fac_rad, r_mode_rad)
-    iv = level_interval(target, fac_rad, sup_rad - 60.0,
-                        r_mode=r_mode_rad, log_sup=sup_rad)
-    r_a = max(iv.r_lo, 1e-12)
-    r_b = iv.r_hi
-
-    # dense radial grid for all quadratures
-    m = 1 << 17
-    r = np.linspace(r_a, r_b, m + 1)
-    log_rho = (d - 1) * np.log(r) - target.phi_vec(r)
-    shift = np.max(log_rho)
-    rho = np.exp(log_rho - shift)                     # scaled radial density
-    c_norm = simpson(rho, x=r)                        # scaled normalization
-
-    p1_log = alpha * np.log(r) - target.phi_vec(r)    # log of the slice profile
-    p1 = np.exp(p1_log)
-
-    ell = level_set_function(target, fac)
-    s_sup = ell.log_support_sup
-    # substitute s = s_sup - v^2: the level-set function vanishes like
-    # sqrt(s_sup - s) at the top level, and the substitution removes the
-    # square-root endpoint singularity from the quadrature
-    v_grid = np.linspace(math.sqrt(1e-12), math.sqrt(40.0), n_t + 1)
-    s_grid = s_sup - v_grid[::-1] ** 2
-    t_grid = np.exp(s_grid)
-    r_lo_t, r_hi_t = level_bounds(target, fac, s_grid)
-    ell_log = ell.log(s_grid)
-    ell_scaled = np.where(np.isfinite(ell_log),
-                          np.exp(ell_log - np.max(ell_log[np.isfinite(ell_log)])), 0.0)
-    jac = 2.0 * v_grid[::-1]                          # |ds/dv| on the s grid
-    pi_t_weight = ell_scaled * t_grid * jac           # log-level law times ds/dv
-    pi_t_norm = simpson(pi_t_weight, x=-v_grid[::-1])
-
-    # cumulative integrals of r^{beta-1} h(r) for the set-update averages
-    from scipy.integrate import cumulative_trapezoid
-    base = r ** (beta - 1.0)
-
-    worst = 0.0
-    for h_tag in h_tags:
-        h_vals = _h_eval(h_tag, r)
-        cum = np.concatenate([[0.0], cumulative_trapezoid(base * h_vals, r)])
-        num = np.interp(r_hi_t, r, cum) - np.interp(np.maximum(r_lo_t, r_a), r, cum)
-        den = (r_hi_t**beta - r_lo_t**beta) / beta
-        ux_h = num / den                               # (U_X h)(t) on the level grid
-
-        norm_h = math.sqrt(max(simpson(rho * h_vals**2, x=r) / c_norm, 0.0))
-        for g_tag in g_tags:
-            # LHS: pi-average of h(r) times the mean of g under Unif(0, p1(r))
-            mean_g = _t_moment(g_tag, p1) / p1
-            lhs = simpson(rho * h_vals * mean_g, x=r) / c_norm
-            # RHS: level-law average of g(t) (U_X h)(t)
-            x_var = -v_grid[::-1]
-            rhs = simpson(pi_t_weight * _g_eval(g_tag, t_grid) * ux_h, x=x_var) / pi_t_norm
-            norm_g = math.sqrt(
-                max(simpson(pi_t_weight * _g_eval(g_tag, t_grid) ** 2, x=x_var)
-                    / pi_t_norm, 0.0))
-            denom = norm_g * norm_h
-            if denom == 0.0:
-                continue
-            worst = max(worst, abs(lhs - rhs) / denom)
-    return worst

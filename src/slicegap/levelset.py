@@ -32,7 +32,6 @@ __all__ = [
     "log_h_sup",
     "level_interval",
     "level_bounds",
-    "ell_eval",
     "log_ell_eval",
     "level_set_function",
     "lambda_k_check",
@@ -142,10 +141,6 @@ def log_h_sup(target: RadialTarget, fac: RadialFactorization,
 # ---------------------------------------------------------------------------
 # Level intervals: scalar bisection and vectorized safeguarded Newton
 # ---------------------------------------------------------------------------
-
-def _log_h_scalar(target: RadialTarget, alpha: float, r: float) -> float:
-    return alpha * math.log(r) - target.phi(r)
-
 
 def level_interval(target: RadialTarget, fac: RadialFactorization,
                    log_t: float,
@@ -407,11 +402,6 @@ def log_ell_eval(target: RadialTarget, fac: RadialFactorization, log_t,
     if np.isscalar(log_t) or np.ndim(log_t) == 0:
         return float(out[0])
     return out
-
-
-def ell_eval(target: RadialTarget, fac: RadialFactorization, log_t, **kw):
-    """Generalized level-set value; 0 at or above the profile supremum."""
-    return np.exp(log_ell_eval(target, fac, log_t, **kw))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ vectors.  A full-vector mode exists to validate that reduction at small
 dimension.  The level draw ``t ~ Unif(0, h(x))`` is performed as
 ``log t = log h(x) + log u`` and the set draw is an exact inverse-CDF
 sample of the radial density ``r^{d-1-alpha}`` on the level interval.
+Both chains are built from one pair of these half-steps.  The two
+stationary oracles share one grid inverse CDF, and every redraw loop is
+capped.
 """
 
 from __future__ import annotations
@@ -39,9 +42,16 @@ __all__ = [
     "x_step_radii",
     "t_step_levels",
     "RadialStationarySampler",
-    "sample_radial_stationary",
     "PiTildeSampler",
 ]
+
+# Draws a redraw loop makes before it gives up on its random stream.
+_MAX_REDRAWS = 64
+# Oracle grids: cells, the radial grid's level below its profile's log sup,
+# and the drop in log density at which the level grid ends.
+_ORACLE_CELLS = 2**14
+_RADIAL_TAIL_DEPTH = 80.0
+_LEVEL_TAIL_DEPTH = 34.0
 
 
 @dataclass
@@ -77,19 +87,21 @@ def make_rng(base_seed: int, chain_index: int = 0) -> np.random.Generator:
 
 
 def _open_uniform(rng: np.random.Generator) -> float:
-    u = rng.random()
-    while u == 0.0:
+    for _ in range(_MAX_REDRAWS):
         u = rng.random()
-    return u
+        if u != 0.0:
+            return u
+    raise DomainError(f"random stream returned 0.0 {_MAX_REDRAWS} times in a row")
 
 
 def _open_uniforms(rng: np.random.Generator, size) -> np.ndarray:
     u = rng.random(size)
-    zero = u == 0.0
-    while np.any(zero):
-        u[zero] = rng.random(int(zero.sum()))
+    for _ in range(_MAX_REDRAWS):
         zero = u == 0.0
-    return u
+        if not np.any(zero):
+            return u
+        u[zero] = rng.random(int(zero.sum()))
+    raise DomainError(f"random stream returned 0.0 {_MAX_REDRAWS} times in a row")
 
 
 def t_update(log_h_x, u):
@@ -153,11 +165,43 @@ def sample_direction(d: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform unit vector in R^d (normalized standard Gaussian)."""
     if d < 1:
         raise DomainError(f"d must be positive, got {d}")
-    while True:
+    for _ in range(_MAX_REDRAWS):
         v = rng.standard_normal(d)
         norm = float(np.linalg.norm(v))
         if norm > 1e-12:
             return v / norm
+    raise DomainError(f"random stream gave {_MAX_REDRAWS} Gaussian vectors of "
+                      "norm <= 1e-12 in a row")
+
+
+def _half_steps(target: RadialTarget, fac: RadialFactorization, n: int,
+                rng: np.random.Generator):
+    """``(level, radius, log_sup)`` of a scalar chain drawing from ``rng``:
+    ``level(r)`` draws ``log t`` below ``log h(r)``, ``radius(log_t)`` a
+    radius from the level set."""
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    fac.validate_for(target)
+    r_mode = mode_radius(target, fac)
+    log_sup = log_h_sup(target, fac, r_mode)
+    phi = target.phi
+    alpha = fac.alpha
+    beta = target.dim - alpha
+
+    def level(r: float) -> float:
+        return alpha * math.log(r) - phi(r) + math.log(_open_uniform(rng))
+
+    def radius(log_t: float) -> float:
+        iv = level_interval(target, fac, log_t, r_mode=r_mode, log_sup=log_sup)
+        return _inverse_cdf_radius(iv.r_lo, iv.r_hi, rng.random(), beta)
+
+    return level, radius, log_sup
+
+
+def _chain_meta(chain: str, target: RadialTarget, fac: RadialFactorization,
+                n: int, **extra) -> dict:
+    return {"chain": chain, "target": target.tag, "alpha": fac.alpha,
+            "d": target.dim, "n": n, **extra}
 
 
 def run_x_chain(target: RadialTarget, fac: RadialFactorization,
@@ -171,86 +215,45 @@ def run_x_chain(target: RadialTarget, fac: RadialFactorization,
     separate seeded streams, so the radius sequence is identical in both
     modes under the same seed.
     """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    fac.validate_for(target)
-    r_mode = mode_radius(target, fac)
-    log_sup = log_h_sup(target, fac, r_mode)
+    level, radius, _ = _half_steps(target, fac, n, make_rng(seed, 0))
     if not (0.0 < init_radius < target.kappa):
         raise DomainError(f"init_radius={init_radius} outside (0, kappa)")
-
-    rng_u = make_rng(seed, 0)
-    rng_dir = make_rng(seed, 1)
-    phi = target.phi
-    alpha = fac.alpha
-    beta = target.dim - alpha
 
     if summary is None:
         g = (lambda x: float(np.linalg.norm(x))) if full_vector else (lambda r: r)
     else:
         g = summary
+    if full_vector:
+        rng_dir = make_rng(seed, 1)
+        value = lambda r: g(r * sample_direction(target.dim, rng_dir))
+    else:
+        value = g
 
     values = np.empty(n + 1)
     r = float(init_radius)
-    theta = sample_direction(target.dim, rng_dir) if full_vector else None
-    values[0] = g(r * theta) if full_vector else g(r)
+    values[0] = value(r)
     for i in range(1, n + 1):
-        lh = alpha * math.log(r) - phi(r)
-        log_t = lh + math.log(_open_uniform(rng_u))
-        u = rng_u.random()
-        iv = level_interval(target, fac, log_t, r_mode=r_mode, log_sup=log_sup)
-        r = _inverse_cdf_radius(iv.r_lo, iv.r_hi, u, beta)
-        if full_vector:
-            theta = sample_direction(target.dim, rng_dir)
-            values[i] = g(r * theta)
-        else:
-            values[i] = g(r)
-    meta = {
-        "chain": "x",
-        "target": target.tag,
-        "alpha": fac.alpha,
-        "d": target.dim,
-        "n": n,
-        "init_radius": init_radius,
-        "full_vector": full_vector,
-    }
+        r = radius(level(r))
+        values[i] = value(r)
+    meta = _chain_meta("x", target, fac, n, init_radius=init_radius,
+                       full_vector=full_vector)
     return Trace(values=values, seed=seed, meta=meta)
 
 
 def run_t_chain(target: RadialTarget, fac: RadialFactorization,
                 n: int, init_log_t: float, seed: int) -> Trace:
     """Auxiliary level chain: set update then level update; records log t."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    fac.validate_for(target)
-    r_mode = mode_radius(target, fac)
-    log_sup = log_h_sup(target, fac, r_mode)
+    level, radius, log_sup = _half_steps(target, fac, n, make_rng(seed, 0))
     if not init_log_t < log_sup:
         raise DomainError("init_log_t is not inside the support of the level chain")
-
-    rng_u = make_rng(seed, 0)
-    phi = target.phi
-    alpha = fac.alpha
-    beta = target.dim - alpha
 
     values = np.empty(n + 1)
     log_t = float(init_log_t)
     values[0] = log_t
     for i in range(1, n + 1):
-        u = rng_u.random()
-        iv = level_interval(target, fac, log_t, r_mode=r_mode, log_sup=log_sup)
-        r = _inverse_cdf_radius(iv.r_lo, iv.r_hi, u, beta)
-        lh = alpha * math.log(r) - phi(r)
-        log_t = lh + math.log(_open_uniform(rng_u))
+        log_t = level(radius(log_t))
         values[i] = log_t
-    meta = {
-        "chain": "t",
-        "target": target.tag,
-        "alpha": fac.alpha,
-        "d": target.dim,
-        "n": n,
-        "init_log_t": init_log_t,
-    }
+    meta = _chain_meta("t", target, fac, n, init_log_t=init_log_t)
     return Trace(values=values, seed=seed, meta=meta)
 
 
@@ -282,41 +285,42 @@ def t_step_levels(target: RadialTarget, fac: RadialFactorization,
 # Independent oracles: stationary radial law and the level-chain law
 # ---------------------------------------------------------------------------
 
-class RadialStationarySampler:
+class _GridInverseCdf:
+    """I.i.d. draws by inverse CDF from a trapezoid cumulative on a grid."""
+
+    def __init__(self, grid: np.ndarray, log_density: np.ndarray):
+        finite = np.isfinite(log_density)
+        dens = np.zeros(grid.shape)
+        dens[finite] = np.exp(log_density[finite] - np.max(log_density[finite]))
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[:-1] + dens[1:]) * np.diff(grid))])
+        self.grid = grid
+        self.cdf = cdf / cdf[-1]
+
+    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
+        return np.interp(rng.random(size), self.cdf, self.grid)
+
+
+class RadialStationarySampler(_GridInverseCdf):
     """I.i.d. radii with density proportional to ``r^{d-1} exp(-phi(r))``.
 
     Grid inverse CDF with 2^14 cells over the effective support and a
     trapezoidal cumulative; used as a test oracle for chain stationarity.
     """
 
-    def __init__(self, target: RadialTarget, n_cells: int = 2**14,
-                 tail_log_depth: float = 80.0):
+    def __init__(self, target: RadialTarget):
         fac_rad = RadialFactorization(float(target.dim - 1))
         r_mode = mode_radius(target, fac_rad)
         log_sup = log_h_sup(target, fac_rad, r_mode)
-        iv = level_interval(target, fac_rad, log_sup - tail_log_depth,
+        iv = level_interval(target, fac_rad, log_sup - _RADIAL_TAIL_DEPTH,
                             r_mode=r_mode, log_sup=log_sup)
-        grid = np.linspace(iv.r_lo, iv.r_hi, n_cells + 1)
+        grid = np.linspace(iv.r_lo, iv.r_hi, _ORACLE_CELLS + 1)
         logpdf = np.full(grid.shape, -math.inf)
         pos = grid > 0.0
         logpdf[pos] = (target.dim - 1) * np.log(grid[pos]) - target.phi_vec(grid[pos])
-        pdf = np.exp(logpdf - np.max(logpdf[np.isfinite(logpdf)]))
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[:-1] + pdf[1:]) * np.diff(grid))])
-        self.grid = grid
-        self.cdf = cdf / cdf[-1]
-
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        u = rng.random(size)
-        return np.interp(u, self.cdf, self.grid)
+        super().__init__(grid, logpdf)
 
 
-def sample_radial_stationary(target: RadialTarget, rng: np.random.Generator,
-                             size=None) -> np.ndarray:
-    """One-shot convenience wrapper around :class:`RadialStationarySampler`."""
-    return RadialStationarySampler(target).sample(rng, size)
-
-
-class PiTildeSampler:
+class PiTildeSampler(_GridInverseCdf):
     """I.i.d. log levels from the stationary law of the auxiliary chain.
 
     The stationary density in ``s = log t`` is proportional to
@@ -324,42 +328,27 @@ class PiTildeSampler:
     bracketed s-range.
     """
 
-    def __init__(self, ell: LevelSetFunction, n_cells: int = 2**14,
-                 tail: float = 34.0):
+    def __init__(self, ell: LevelSetFunction):
         s_sup = ell.log_support_sup
         s_ref = (s_sup - 1.0) if math.isfinite(s_sup) else 0.0
 
         def log_m(s):
-            return ell.log(np.asarray(s, dtype=float)) + np.asarray(s, dtype=float)
+            return ell.log(s) + s
 
-        m_ref = float(log_m(np.array([s_ref]))[0])
+        m_ref = log_m(s_ref)
         if not math.isfinite(m_ref):
             raise DomainError("reference level has no stationary mass")
-        # Expand downward (and upward when the support is unbounded).
-        depth = 1.0
-        while float(log_m(np.array([s_ref - depth]))[0]) > m_ref - tail:
-            depth *= 2.0
-            if depth > 1e6:
-                raise DomainError("could not bracket the lower stationary tail")
-        s_lo = s_ref - depth
-        if math.isfinite(s_sup):
-            s_hi = s_sup
-        else:
-            up = 1.0
-            while float(log_m(np.array([s_ref + up]))[0]) > m_ref - tail:
-                up *= 2.0
-                if up > 1e6:
-                    raise DomainError("could not bracket the upper stationary tail")
-            s_hi = s_ref + up
-        grid = np.linspace(s_lo, s_hi, n_cells + 1)
-        lm = log_m(grid)
-        finite = np.isfinite(lm)
-        m = np.zeros(grid.shape)
-        m[finite] = np.exp(lm[finite] - np.max(lm[finite]))
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (m[:-1] + m[1:]) * np.diff(grid))])
-        self.grid = grid
-        self.cdf = cdf / cdf[-1]
 
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        u = rng.random(size)
-        return np.interp(u, self.cdf, self.grid)
+        def tail_end(sign: float, side: str) -> float:
+            step = 1.0
+            while log_m(s_ref + sign * step) > m_ref - _LEVEL_TAIL_DEPTH:
+                step *= 2.0
+                if step > 1e6:
+                    raise DomainError(f"could not bracket the {side} stationary tail")
+            return s_ref + sign * step
+
+        # Expand downward (and upward when the support is unbounded).
+        s_lo = tail_end(-1.0, "lower")
+        s_hi = s_sup if math.isfinite(s_sup) else tail_end(1.0, "upper")
+        grid = np.linspace(s_lo, s_hi, _ORACLE_CELLS + 1)
+        super().__init__(grid, log_m(grid))

@@ -12,12 +12,17 @@ from slicegap.errors import DomainError
 from slicegap.harness import (
     ExperimentConfig,
     IAT_CSV_HEADER,
+    adjointness_check,
     check_lambda,
     gap_table,
     iat_sweep,
     row_seed,
     write_iat_csv,
 )
+from slicegap.targets import RadialFactorization, exponential, volcano
+
+PSS = RadialFactorization.pss
+USS = RadialFactorization.uss
 
 
 class TestConfig:
@@ -183,3 +188,11 @@ class TestVerifyGuards:
                                limit_L=math.inf, label="corrupted")
         with pytest.raises(InvalidLevelSetError):
             discretize_pt(ell, TGrid(boundaries=np.linspace(-4.0, -1e-6, 33)))
+
+
+class TestAdjointness:
+    def test_pss_exponential(self):
+        assert adjointness_check(exponential(3), PSS(3)) <= 1e-6
+
+    def test_uss_volcano(self):
+        assert adjointness_check(volcano(2, 2.0), USS()) <= 1e-6

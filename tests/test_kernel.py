@@ -1,7 +1,9 @@
 """Tests for the discretized level-chain kernel and gap certification."""
 
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from slicegap.errors import DomainError, InvalidLevelSetError
 from slicegap.kernel import (
     DiscreteKernel,
     TGrid,
-    adjointness_check,
     build_tgrid,
     certify_gap,
     discretize_pt,
@@ -379,9 +380,15 @@ class TestTransitionCdf:
             transition_cdf(ell, ell.log_support_sup + 0.1, -1.0)
 
 
-class TestAdjointness:
-    def test_pss_exponential(self):
-        assert adjointness_check(exponential(3), PSS(3)) <= 1e-6
-
-    def test_uss_volcano(self):
-        assert adjointness_check(volcano(2, 2.0), USS()) <= 1e-6
+def test_kernel_sees_only_the_level_set_function():
+    """kernel.py imports from the package only errors and LevelSetFunction."""
+    tree = ast.parse(Path(kernelmod.__file__).read_text())
+    package_imports = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            package_imports.setdefault(node.module, set()).update(
+                alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("slicegap") for a in node.names)
+    assert set(package_imports) == {"errors", "levelset"}
+    assert package_imports["levelset"] == {"LevelSetFunction"}

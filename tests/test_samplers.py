@@ -8,15 +8,16 @@ import pytest
 import scipy.stats
 from hypothesis import given, strategies as st
 
+from slicegap import samplers
 from slicegap.errors import DomainError
 from slicegap.levelset import level_set_function, log_h_sup, mode_radius
 from slicegap.samplers import (
     PiTildeSampler,
+    RadialStationarySampler,
     make_rng,
     run_t_chain,
     run_x_chain,
     sample_direction,
-    sample_radial_stationary,
     t_step_levels,
     t_update,
     x_step_radii,
@@ -153,9 +154,10 @@ class TestXChain:
         target = exponential(3)
         fac = PSS(3)
         rng = make_rng(12345)
-        r0 = sample_radial_stationary(target, rng, 10_000)
+        radial = RadialStationarySampler(target)
+        r0 = radial.sample(rng, 10_000)
         r1 = x_step_radii(target, fac, r0, rng)
-        r_ref = sample_radial_stationary(target, rng, 10_000)
+        r_ref = radial.sample(rng, 10_000)
         stat = scipy.stats.ks_2samp(r1, r_ref).statistic
         assert stat <= 0.02
 
@@ -214,9 +216,9 @@ class TestTChain:
 class TestStationaryOracles:
     def test_exponential_radial_means(self):
         rng = make_rng(100)
-        draws = sample_radial_stationary(exponential(1), rng, 100_000)
+        draws = RadialStationarySampler(exponential(1)).sample(rng, 100_000)
         assert abs(draws.mean() - 1.0) < 0.02
-        draws3 = sample_radial_stationary(exponential(3), rng, 100_000)
+        draws3 = RadialStationarySampler(exponential(3)).sample(rng, 100_000)
         assert abs(draws3.mean() - 3.0) < 0.04
 
     def test_pi_tilde_handles_unbounded_support(self):
@@ -228,7 +230,6 @@ class TestStationaryOracles:
         assert np.all(np.isfinite(s))
 
     def test_monotone_cdf(self):
-        from slicegap.samplers import RadialStationarySampler
         sampler = RadialStationarySampler(exponential(3))
         assert np.all(np.diff(sampler.cdf) >= 0)
 
@@ -243,3 +244,27 @@ class TestTraceSerialization:
         assert len(lines) == 12
         meta = json.load(open(path + ".json"))
         assert meta["seed"] == 5 and meta["d"] == 2
+
+
+class ZeroStream:
+    """A broken random stream: every uniform and every normal is 0."""
+
+    def random(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+    def standard_normal(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+
+class TestBoundedRedraws:
+    def test_open_uniform_gives_up(self):
+        with pytest.raises(DomainError, match="0.0"):
+            samplers._open_uniform(ZeroStream())
+
+    def test_open_uniforms_gives_up(self):
+        with pytest.raises(DomainError, match="0.0"):
+            samplers._open_uniforms(ZeroStream(), (5,))
+
+    def test_sample_direction_gives_up(self):
+        with pytest.raises(DomainError, match="norm"):
+            sample_direction(3, ZeroStream())
