@@ -37,7 +37,6 @@ from .levelset import (
     level_bounds,
     level_interval,
     level_set_function,
-    log_ell_eval,
     log_h_sup,
     mode_radius,
 )

@@ -51,16 +51,24 @@ def main(argv=None) -> int:
         description="Slice-sampling spectral-gap laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("iat-sweep", "gap-table", "check-lambda", "verify"):
+    # Flags beyond --config and --out, each on the subcommands that read it.
+    flags = {
+        "--seed": dict(type=int, help="base seed override"),
+        "--paper-scale": dict(action="store_true",
+                              help="full-size sweep (d up to 100, n_it=1e5, n_rep=10)"),
+        "--grid-size": dict(type=int, help="kernel grid size override"),
+        "--workers": dict(type=int, help="process-pool size for the sweep"),
+    }
+    for name, own in (("iat-sweep", ("--seed", "--paper-scale", "--workers")),
+                      ("gap-table", ("--paper-scale", "--grid-size")),
+                      ("check-lambda", ("--paper-scale",)),
+                      ("verify", ("--seed",))):
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to a JSON config file")
-        p.add_argument("--seed", type=int, help="base seed override")
         p.add_argument("--out", help="output file path")
-        p.add_argument("--paper-scale", action="store_true",
-                       help="full-size sweep (d up to 100, n_it=1e5, n_rep=10)")
-        p.add_argument("--grid-size", type=int, help="kernel grid size override")
-        p.add_argument("--workers", type=int, default=None,
-                       help="process-pool size for the sweep")
+        for flag in own:
+            p.add_argument(flag, **flags[flag])
+    parser.set_defaults(seed=None, paper_scale=False, grid_size=None, workers=None)
     args = parser.parse_args(argv)
 
     try:

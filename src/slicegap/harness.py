@@ -58,6 +58,9 @@ __all__ = [
 DESK_DIMS = [1, 2, 3, 5, 10, 20, 30]
 PAPER_DIMS = [1, 2, 3, 5, 10, 20, 30, 50, 75, 100]
 
+# One-step transitions drawn per probe level by the kernel-identity check.
+_KERNEL_MC_DRAWS = 1_000_000
+
 IAT_CSV_HEADER = ["d", "sampler", "rep", "seed", "iat", "truncation_lag",
                   "wall_time_ms", "iat_mean", "iat_sd"]
 
@@ -279,21 +282,21 @@ def _ks_checks(config: ExperimentConfig, dims, seed: int) -> list:
     return results
 
 
-def _kernel_mc_check(seed: int, n_mc: int = 1_000_000, n_probe: int = 10) -> list:
+def _kernel_mc_check(seed: int) -> list:
     """Transition-probability quadrature vs one-step Monte Carlo frequency."""
     d = 5
     target = make_builtin("exponential", d)
     fac = RadialFactorization.pss(d)
     ell = level_set_function(target, fac)
     s_sup = ell.log_support_sup
-    probes = np.linspace(s_sup - 8.0, s_sup - 0.5, n_probe)
+    probes = np.linspace(s_sup - 8.0, s_sup - 0.5, 10)
     rng = make_rng(seed, 0)
     out = []
     for s0 in probes:
         p_quad = kernelmod.transition_cdf(ell, float(s0), float(s0))
-        s1 = t_step_levels(target, fac, np.full(n_mc, s0), rng)
+        s1 = t_step_levels(target, fac, np.full(_KERNEL_MC_DRAWS, s0), rng)
         p_mc = float(np.mean(s1 < s0))
-        tol = 3.0 * math.sqrt(max(p_quad * (1 - p_quad), 1e-12) / n_mc) + 1e-4
+        tol = 3.0 * math.sqrt(max(p_quad * (1 - p_quad), 1e-12) / _KERNEL_MC_DRAWS) + 1e-4
         out.append({
             "check": "kernel_identity", "log_t": float(s0),
             "quadrature": p_quad, "monte_carlo": p_mc, "tolerance": tol,
@@ -396,10 +399,10 @@ def _adjointness_checks() -> list:
     return out
 
 
-def _equivalence_checks(dims=range(2, 11)) -> list:
+def _equivalence_checks() -> list:
     from .targets import radial_weighted_exponential, surface_area, RadialTarget
     out = []
-    for d in dims:
+    for d in range(2, 11):
         ell_pss = level_set_function(radial_weighted_exponential(d),
                                      RadialFactorization.pss(d))
         c_d = 2.0 / surface_area(d)
@@ -416,15 +419,14 @@ def _equivalence_checks(dims=range(2, 11)) -> list:
     return out
 
 
-def verify(config: ExperimentConfig, ks_dims=(2, 5, 10),
-           equivalence_dims=range(2, 11)) -> dict:
+def verify(config: ExperimentConfig) -> dict:
     """Run the stationarity, kernel-identity, adjointness and equivalence
     checks; overall status is pass iff no individual check failed."""
     checks = []
-    checks += _ks_checks(config, ks_dims, config.base_seed)
+    checks += _ks_checks(config, (2, 5, 10), config.base_seed)
     checks += _kernel_mc_check(config.base_seed + 1)
     checks += _adjointness_checks()
-    checks += _equivalence_checks(equivalence_dims)
+    checks += _equivalence_checks()
     failed = [c for c in checks if c.get("status") == "fail"]
     return {"config": config.to_dict(), "checks": checks,
             "n_checks": len(checks), "n_failed": len(failed),

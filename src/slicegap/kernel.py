@@ -55,6 +55,9 @@ __all__ = [
     "transition_cdf",
 ]
 
+# certify_gap: largest n-vs-2n gap difference of a converged certificate.
+_REFINEMENT_TOL = 0.005
+
 
 @dataclass(frozen=True)
 class TGrid:
@@ -337,8 +340,8 @@ def spectral_gap(kernel: DiscreteKernel) -> GapEstimate:
                        eig_residual=eig_residual, top_residual=top_residual)
 
 
-def certify_gap(ell: LevelSetFunction, n: int = 2048, mass_tol: float = 1e-8,
-                refine: int = 16, refinement_tol: float = 0.005) -> GapEstimate:
+def certify_gap(ell: LevelSetFunction, n: int = 2048,
+                mass_tol: float = 1e-8) -> GapEstimate:
     """Gap at grid size n with a grid-doubling convergence diagnostic.
 
     The truncation search runs once; the 2n grid spans the same levels.
@@ -346,10 +349,10 @@ def certify_gap(ell: LevelSetFunction, n: int = 2048, mass_tol: float = 1e-8,
     grid = build_tgrid(ell, n, mass_tol)
     b = grid.boundaries
     grid2 = TGrid(np.linspace(b[0], b[-1], 2 * n + 1), grid.truncation_mass)
-    est = spectral_gap(discretize_pt(ell, grid, refine))
-    est2 = spectral_gap(discretize_pt(ell, grid2, refine))
+    est = spectral_gap(discretize_pt(ell, grid))
+    est2 = spectral_gap(discretize_pt(ell, grid2))
     delta = abs(est.gap - est2.gap)
-    return replace(est, refinement_delta=delta, converged=delta <= refinement_tol)
+    return replace(est, refinement_delta=delta, converged=delta <= _REFINEMENT_TOL)
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,19 @@
 The slice profile ``h_alpha(r) = r^alpha exp(-phi(r))`` of an in-class
 target is unimodal, so every super level set ``{r : h_alpha(r) > t}`` is an
 interval.  This module locates the interval endpoints on the two monotone
-branches (bisection for one level, a safeguarded Newton iteration in
-``log r`` for arrays of levels), evaluates the generalized level-set
-function
+branches, evaluates the generalized level-set function
 
     ell(t) = sigma_{d-1} / (d - alpha) * (r_hi^{d-alpha} - r_lo^{d-alpha}),
 
 and checks the decreasing-function class whose k-th member certifies a
 spectral gap of at least 1/(k+1) for the associated sampler.
+
+Every scalar root -- the profile mode, the two endpoints of one level
+interval and the canonical comparator's potential -- is bracketed by the
+same two searches (halving toward 0; outward toward a finite cutoff or
+by doubling) and solved by one bisection, ``_bisect``.  Arrays of levels
+go through ``level_bounds`` instead: the same brackets, searched on whole
+arrays, then a safeguarded Newton iteration in ``log r``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ __all__ = [
     "log_h_sup",
     "level_interval",
     "level_bounds",
-    "log_ell_eval",
     "level_set_function",
     "lambda_k_check",
     "default_probe",
@@ -40,12 +44,19 @@ __all__ = [
     "canonical_potential",
 ]
 
+# Cap on every bracket search and root iteration.
 _MAX_EXPANSIONS = 200
 # Levels per level_bounds chunk; keeps the solver's working arrays small.
 _CHUNK = 1 << 13
 # Newton stopping tolerance in u = log r, relative to max(|u|, 1): 4 ulp.
 _U_TOL = 4.0 * np.finfo(float).eps
+# Scalar bisection stop: bracket width relative to max(larger end, 1).
 _REL_TOL = 1e-13
+# canonical_potential: deepest s below the support supremum that it searches.
+_MAX_DEPTH = 700.0
+# default_probe: points, and the depth in s = -log t that they span.
+_PROBE_POINTS = 200
+_PROBE_DEPTH = 40.0
 
 
 @dataclass(frozen=True)
@@ -54,6 +65,51 @@ class LevelInterval:
 
     r_lo: float
     r_hi: float
+
+
+# ---------------------------------------------------------------------------
+# Scalar root finding: bracket searches and one bisection
+# ---------------------------------------------------------------------------
+
+def _halvings(x: float):
+    """``x, x/2, x/4, ...``: at most ``_MAX_EXPANSIONS`` points."""
+    for _ in range(_MAX_EXPANSIONS):
+        yield x
+        x *= 0.5
+
+
+def _outward(x: float, kappa: float):
+    """Points beyond ``x``: halving the distance to a finite cutoff
+    ``kappa``, else doubling from ``max(2x, 1)``."""
+    if math.isfinite(kappa):
+        gap = kappa - x
+        for j in range(1, _MAX_EXPANSIONS):
+            yield kappa - gap * 0.5**j
+    else:
+        x = max(2.0 * x, 1.0)
+        for _ in range(_MAX_EXPANSIONS):
+            yield x
+            x *= 2.0
+
+
+def _bisect(f: Callable[[float], float], level: float, inside: float,
+            outside: float, tol: float = _REL_TOL) -> float:
+    """Bisect ``f(inside) > level >= f(outside)``; the ends may be in either
+    order.  Returns the midpoint once the width is within ``tol`` times
+    ``max(larger end, 1)``, written as a conditional because a call to the
+    builtin ``max`` costs about as much as the rest of the step."""
+    for _ in range(_MAX_EXPANSIONS):
+        if inside < outside:
+            if not outside - inside > tol * (outside if outside > 1.0 else 1.0):
+                return 0.5 * (inside + outside)
+        elif not inside - outside > tol * (inside if inside > 1.0 else 1.0):
+            return 0.5 * (inside + outside)
+        mid = 0.5 * (inside + outside)
+        if f(mid) > level:
+            inside = mid
+        else:
+            outside = mid
+    raise NoRootError("bisection did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -67,60 +123,30 @@ def _tiny_radius(target: RadialTarget) -> float:
 def mode_radius(target: RadialTarget, fac: RadialFactorization) -> float:
     """Radius maximizing ``h_alpha``; 0 if the profile is non-increasing.
 
-    For ``alpha > 0`` solves ``r * phi'(r) = alpha`` on the two sides of a
-    bracket found by geometric expansion; for ``alpha = 0`` returns the
-    minimizer of phi.
+    Bisects the sign change of ``alpha - r * phi'(r)``; for ``alpha = 0``
+    that of ``-phi'(r)``, which gives the minimizer of phi.  The bracket
+    is found by halving from 1 (``kappa / 2`` for a finite cutoff), then
+    searching outward.
     """
     fac.validate_for(target)
     kappa = target.kappa
-    if fac.alpha == 0.0:
-        g = lambda r: target.dphi(r)
+    alpha = fac.alpha
+    if alpha == 0.0:
+        rise = lambda r: -target.dphi(r)
     else:
-        g = lambda r: r * target.dphi(r) - fac.alpha
-
-    r0 = 1.0 if not math.isfinite(kappa) else 0.5 * kappa
-    # Shrink toward zero looking for g < 0 (profile still increasing there).
-    a = r0
-    found_neg = False
-    for _ in range(_MAX_EXPANSIONS):
-        if g(a) < 0.0:
-            found_neg = True
+        rise = lambda r: alpha - r * target.dphi(r)
+    for a in _halvings(1.0 if not math.isfinite(kappa) else 0.5 * kappa):
+        if rise(a) > 0.0:
             break
-        a *= 0.5
-    if not found_neg:
+    else:
         # h_alpha is non-increasing on all of (0, kappa).
         return 0.0
-    # Expand upward looking for g >= 0.
-    if math.isfinite(kappa):
-        b = a
-        gap = kappa - a
-        ok = False
-        for j in range(1, _MAX_EXPANSIONS):
-            b = kappa - gap * 0.5**j
-            if g(b) >= 0.0:
-                ok = True
-                break
-    else:
-        b = max(2.0 * a, 1.0)
-        ok = False
-        for _ in range(_MAX_EXPANSIONS):
-            if g(b) >= 0.0:
-                ok = True
-                break
-            b *= 2.0
-    if not ok:
-        raise NoRootError(
-            "could not bracket the profile mode; target outside the supported class"
-        )
-    for _ in range(_MAX_EXPANSIONS):
-        m = 0.5 * (a + b)
-        if g(m) < 0.0:
-            a = m
-        else:
-            b = m
-        if b - a <= _REL_TOL * max(b, 1.0):
-            break
-    return 0.5 * (a + b)
+    for b in _outward(a, kappa):
+        if rise(b) <= 0.0:
+            return _bisect(rise, 0.0, a, b)
+    raise NoRootError(
+        "could not bracket the profile mode; target outside the supported class"
+    )
 
 
 def log_h_sup(target: RadialTarget, fac: RadialFactorization,
@@ -157,80 +183,32 @@ def level_interval(target: RadialTarget, fac: RadialFactorization,
         )
     phi = target.phi
     alpha = fac.alpha
-    kappa = target.kappa
 
     def lh(r: float) -> float:
         return alpha * math.log(r) - phi(r)
 
     # --- lower endpoint --------------------------------------------------
+    r_lo = 0.0
     if r_mode == 0.0:
-        r_lo = 0.0
-        anchor = min(1.0, 0.5 * kappa)
-        for _ in range(_MAX_EXPANSIONS):
+        for anchor in _halvings(min(1.0, 0.5 * target.kappa)):
             if lh(anchor) >= log_t:
                 break
-            anchor *= 0.5
         else:
             raise NoRootError("lower anchor search failed; profile never reaches the level")
     else:
         anchor = r_mode
-        a = 0.5 * r_mode
-        hit = False
-        for _ in range(_MAX_EXPANSIONS):
+        # Without a point at or below the level, the profile limit at 0
+        # already exceeds it and r_lo stays 0.
+        for a in _halvings(0.5 * r_mode):
             if lh(a) <= log_t:
-                hit = True
+                r_lo = _bisect(lh, log_t, r_mode, a)
                 break
-            a *= 0.5
-        if not hit:
-            # The profile limit at 0 already exceeds the level.
-            r_lo = 0.0
-        else:
-            b = r_mode
-            for _ in range(_MAX_EXPANSIONS):
-                if not b - a > _REL_TOL * max(b, 1.0):
-                    break
-                m = 0.5 * (a + b)
-                if lh(m) > log_t:
-                    b = m
-                else:
-                    a = m
-            else:
-                raise NoRootError("lower endpoint bisection did not converge")
-            r_lo = 0.5 * (a + b)
 
     # --- upper endpoint --------------------------------------------------
-    lo = anchor
-    if math.isfinite(kappa):
-        gap = kappa - lo
-        hi = lo
-        ok = False
-        for j in range(1, _MAX_EXPANSIONS):
-            hi = kappa - gap * 0.5**j
-            if lh(hi) <= log_t:
-                ok = True
-                break
-    else:
-        hi = max(2.0 * lo, 1.0)
-        ok = False
-        for _ in range(_MAX_EXPANSIONS):
-            if lh(hi) <= log_t:
-                ok = True
-                break
-            hi *= 2.0
-    if not ok:
-        raise NoRootError("upper bracket expansion failed; profile does not decay")
-    for _ in range(_MAX_EXPANSIONS):
-        if not hi - lo > _REL_TOL * max(hi, 1.0):
-            break
-        m = 0.5 * (lo + hi)
-        if lh(m) > log_t:
-            lo = m
-        else:
-            hi = m
-    else:
-        raise NoRootError("upper endpoint bisection did not converge")
-    r_hi = 0.5 * (lo + hi)
-    return LevelInterval(r_lo=r_lo, r_hi=r_hi)
+    for hi in _outward(anchor, target.kappa):
+        if lh(hi) <= log_t:
+            return LevelInterval(r_lo=r_lo, r_hi=_bisect(lh, log_t, anchor, hi))
+    raise NoRootError("upper bracket expansion failed; profile does not decay")
 
 
 def level_bounds(target: RadialTarget, fac: RadialFactorization,
@@ -377,33 +355,6 @@ def _newton_log_radius(target: RadialTarget, alpha: float, log_t: np.ndarray,
 # Generalized level-set function
 # ---------------------------------------------------------------------------
 
-def log_ell_eval(target: RadialTarget, fac: RadialFactorization, log_t,
-                 r_mode: Optional[float] = None,
-                 log_sup: Optional[float] = None):
-    """Log of the generalized level-set value; -inf above the supremum."""
-    if r_mode is None:
-        r_mode = mode_radius(target, fac)
-    if log_sup is None:
-        log_sup = log_h_sup(target, fac, r_mode)
-    lt = np.atleast_1d(np.asarray(log_t, dtype=float))
-    out = np.full(lt.shape, -math.inf)
-    inside = lt < log_sup
-    if np.any(inside):
-        r_lo, r_hi = level_bounds(target, fac, lt[inside], r_mode, log_sup)
-        beta = target.dim - fac.alpha
-        log_sigma = log_surface_area(target.dim)
-        vals = log_sigma - math.log(beta) + beta * np.log(r_hi)
-        pos = r_lo > 0.0
-        if np.any(pos):
-            expo = beta * (np.log(r_lo[pos]) - np.log(r_hi[pos]))
-            with np.errstate(divide="ignore"):
-                vals[pos] += np.log1p(-np.exp(expo))
-        out[inside] = vals
-    if np.isscalar(log_t) or np.ndim(log_t) == 0:
-        return float(out[0])
-    return out
-
-
 @dataclass(frozen=True)
 class LevelSetFunction:
     """A decreasing level-set function, evaluated in log domain.
@@ -435,18 +386,29 @@ def level_set_function(target: RadialTarget, fac: RadialFactorization) -> LevelS
     r_mode = mode_radius(target, fac)
     log_sup = log_h_sup(target, fac, r_mode)
     beta = target.dim - fac.alpha
+    log_sigma = log_surface_area(target.dim)
     if math.isfinite(target.kappa):
-        limit = math.exp(
-            log_surface_area(target.dim) - math.log(beta) + beta * math.log(target.kappa)
-        )
+        limit = math.exp(log_sigma - math.log(beta) + beta * math.log(target.kappa))
     else:
         limit = math.inf
 
-    def _eval(lt: np.ndarray) -> np.ndarray:
-        return log_ell_eval(target, fac, lt, r_mode=r_mode, log_sup=log_sup)
+    def log_eval(lt: np.ndarray) -> np.ndarray:
+        """Log of ell at the log levels ``lt``; -inf at and above the supremum."""
+        out = np.full(lt.shape, -math.inf)
+        inside = lt < log_sup
+        if np.any(inside):
+            r_lo, r_hi = level_bounds(target, fac, lt[inside], r_mode, log_sup)
+            vals = log_sigma - math.log(beta) + beta * np.log(r_hi)
+            pos = r_lo > 0.0
+            if np.any(pos):
+                expo = beta * (np.log(r_lo[pos]) - np.log(r_hi[pos]))
+                with np.errstate(divide="ignore"):
+                    vals[pos] += np.log1p(-np.exp(expo))
+            out[inside] = vals
+        return out
 
     label = f"{target.tag}/alpha={fac.alpha}/d={target.dim}"
-    return LevelSetFunction(log_eval=_eval, log_support_sup=log_sup,
+    return LevelSetFunction(log_eval=log_eval, log_support_sup=log_sup,
                            limit_L=limit, label=label)
 
 
@@ -473,12 +435,12 @@ class MembershipReport:
         }
 
 
-def default_probe(ell: LevelSetFunction, n: int = 200, depth: float = 40.0) -> np.ndarray:
+def default_probe(ell: LevelSetFunction) -> np.ndarray:
     """Uniform probe grid in ``s = -log t`` inside the open support."""
     s0 = -ell.log_support_sup
     if not math.isfinite(s0):
         raise DomainError("default probe needs a finite support supremum")
-    return s0 + np.linspace(depth / n, depth, n)
+    return s0 + np.linspace(_PROBE_DEPTH / _PROBE_POINTS, _PROBE_DEPTH, _PROBE_POINTS)
 
 
 def lambda_k_check(ell: LevelSetFunction, k: int,
@@ -557,26 +519,16 @@ def canonical_inverse_phi(ell: LevelSetFunction, k: int, s: float) -> float:
     return math.exp((math.log(k) + lv - log_surface_area(int(k))) / k)
 
 
-def canonical_potential(ell: LevelSetFunction, k: int, r: float,
-                        max_depth: float = 700.0) -> float:
+def canonical_potential(ell: LevelSetFunction, k: int, r: float) -> float:
     """Numeric inverse of :func:`canonical_inverse_phi` in its s argument."""
     if r <= 0.0:
         raise DomainError("r must be positive")
     s0 = -ell.log_support_sup
-    lo = s0 + 1e-12 * max(1.0, abs(s0))
-    hi = max(s0 + 1.0, 1.0)
-    for _ in range(_MAX_EXPANSIONS):
-        if canonical_inverse_phi(ell, k, hi) >= r:
-            break
-        hi = s0 + 2.0 * (hi - s0)
-        if hi - s0 > max_depth:
+    # Negated radius: like a profile, it falls through the level -r as s grows.
+    fall = lambda s: -canonical_inverse_phi(ell, k, s)
+    for depth in _outward(0.0, math.inf):
+        if depth > _MAX_DEPTH:
             raise NoRootError(f"radius {r} is beyond the comparator's support")
-    for _ in range(_MAX_EXPANSIONS):
-        m = 0.5 * (lo + hi)
-        if canonical_inverse_phi(ell, k, m) < r:
-            lo = m
-        else:
-            hi = m
-        if hi - lo <= 1e-14 * max(abs(hi), 1.0):
+        if fall(s0 + depth) <= -r:
             break
-    return 0.5 * (lo + hi)
+    return _bisect(fall, -r, s0 + 1e-12 * max(1.0, abs(s0)), s0 + depth, tol=1e-14)

@@ -116,9 +116,7 @@ def t_update(log_h_x, u):
 
 
 def x_update_radius(target: RadialTarget, fac: RadialFactorization,
-                    log_t, u,
-                    r_mode: Optional[float] = None,
-                    log_sup: Optional[float] = None):
+                    log_t, u):
     """Inverse-CDF draw of the radial density ``r^{d-1-alpha}`` on the level.
 
     For PSS (``alpha = d-1``) this is uniform on the interval; otherwise the
@@ -127,11 +125,11 @@ def x_update_radius(target: RadialTarget, fac: RadialFactorization,
     """
     beta = target.dim - fac.alpha
     if np.ndim(log_t) == 0 and np.ndim(u) == 0:
-        iv = level_interval(target, fac, float(log_t), r_mode=r_mode, log_sup=log_sup)
+        iv = level_interval(target, fac, float(log_t))
         return _inverse_cdf_radius(iv.r_lo, iv.r_hi, float(u), beta)
     log_t = np.asarray(log_t, dtype=float)
     u = np.broadcast_to(np.asarray(u, dtype=float), log_t.shape).copy()
-    r_lo, r_hi = level_bounds(target, fac, log_t, r_mode=r_mode, log_sup=log_sup)
+    r_lo, r_hi = level_bounds(target, fac, log_t)
     return _inverse_cdf_radius_vec(r_lo, r_hi, u, beta)
 
 

@@ -211,7 +211,7 @@ def make_builtin(tag: str, dim: int, **params) -> RadialTarget:
     return BUILTIN_TAGS[key](dim, **params)
 
 
-def validate_target(target: RadialTarget, n_probe: int = 64) -> None:
+def validate_target(target: RadialTarget) -> None:
     """Numerical consistency checks on a target.
 
     Verifies that phi is finite on a probe grid inside the support, that
@@ -219,7 +219,7 @@ def validate_target(target: RadialTarget, n_probe: int = 64) -> None:
     finite difference of phi to 1e-6 relative error.
     """
     hi = target.kappa if math.isfinite(target.kappa) else 50.0
-    probe = np.linspace(hi * 1e-3, hi * 0.99, n_probe)
+    probe = np.linspace(hi * 1e-3, hi * 0.99, 64)
     vals = target.phi_vec(probe)
     if not np.all(np.isfinite(vals)):
         raise DomainError("phi is not finite on the interior probe grid")

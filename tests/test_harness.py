@@ -166,6 +166,13 @@ class TestCli:
         config.write_text(json.dumps({"dims": []}))
         assert main(["iat-sweep", "--config", str(config)]) == 2
 
+    def test_flag_not_read_by_subcommand_is_rejected(self, capsys):
+        # verify builds no gap table, so it takes no grid size
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--grid-size", "128"])
+        assert exc.value.code == 2
+        assert "--grid-size" in capsys.readouterr().err
+
 
 class TestVerifyGuards:
     def test_underpowered_ks_skipped(self):

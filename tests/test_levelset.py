@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw
 
+from slicegap import levelset
 from slicegap.errors import DomainError, EmptyLevelError, NoRootError
 from slicegap.levelset import (
     canonical_inverse_phi,
@@ -18,7 +19,6 @@ from slicegap.levelset import (
     level_bounds,
     level_interval,
     level_set_function,
-    log_ell_eval,
     log_h_sup,
     mode_radius,
 )
@@ -206,15 +206,44 @@ class TestVectorizedSolver:
             self._check_against_scalar(target, PSS(3), [0.5, 3.0, 12.0])
 
 
+def _unit_ball_barrier():
+    """phi = -log(1 - r) in d=3: a finite cutoff at kappa = 1."""
+    return RadialTarget(phi=lambda r: -np.log(1.0 - r), dphi=lambda r: 1.0 / (1.0 - r),
+                        kappa=1.0, dim=3, tag="barrier")
+
+
+class TestScalarSolver:
+    def test_finite_cutoff_mode(self):
+        # h(r) = r^2 (1 - r) peaks where 2r = 3r^2
+        assert mode_radius(_unit_ball_barrier(), PSS(3)) == pytest.approx(
+            2.0 / 3.0, rel=0, abs=1e-12)
+
+    def test_finite_cutoff_scalar_matches_vectorized(self):
+        target = _unit_ball_barrier()
+        sup = log_h_sup(target, PSS(3))
+        lts = sup - np.geomspace(1e-4, 25.0, 50)
+        lo, hi = level_bounds(target, PSS(3), lts)
+        for i, lt in enumerate(lts):
+            iv = level_interval(target, PSS(3), float(lt))
+            assert iv.r_lo == pytest.approx(lo[i], rel=0, abs=1e-12)
+            assert iv.r_hi == pytest.approx(hi[i], rel=0, abs=1e-12)
+
+    def test_bisection_is_capped(self):
+        # f never reaches the level: shrinking [1e-300, 1e300] to a 1e-13
+        # bracket takes about 1040 halvings, far beyond the cap
+        with pytest.raises(NoRootError):
+            levelset._bisect(lambda x: -1.0, 0.0, 1e-300, 1e300)
+
+
 class TestEllEval:
     def test_radial_weighted_exponential_is_logarithmic(self):
         # PSS profile is e^{-r}, so ell(t) = sigma_2 * log(1/t)
-        val = log_ell_eval(radial_weighted_exponential(3), PSS(3), -1.0)
+        val = level_set_function(radial_weighted_exponential(3), PSS(3)).log(-1.0)
         assert math.exp(val) == pytest.approx(4.0 * math.pi, rel=1e-10)
 
     def test_uss_exponential_disc_area(self):
         # level set of e^{-r} > e^{-2} in d=2 is the radius-2 disc
-        val = log_ell_eval(exponential(2), USS(), -2.0)
+        val = level_set_function(exponential(2), USS()).log(-2.0)
         assert math.exp(val) == pytest.approx(math.pi * 4.0, rel=1e-10)
 
     def test_empty_level_gives_zero(self):

@@ -1,9 +1,11 @@
-"""Chain outputs checked against saved reference traces.
+"""Chain and root-solver outputs checked against saved reference values.
 
 ``tests/data/reference_traces.json`` holds, for each case below, the values
 the case produced when the file was written, as ``repr`` floats.  A
 refactor that keeps the draws and their order leaves every value equal to
 rounding; a slip in the order of the random draws moves values by O(1).
+The ``level_interval`` cases hold the scalar root solver's outputs: the
+profile mode, the log supremum and both endpoints on 16 levels.
 
 Regenerate the file (only when a change of the traces is intended) with
 
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slicegap.levelset import level_set_function, log_h_sup
+from slicegap.levelset import level_interval, level_set_function, log_h_sup, mode_radius
 from slicegap.samplers import (
     PiTildeSampler,
     RadialStationarySampler,
@@ -33,6 +35,7 @@ PSS = RadialFactorization.pss
 USS = RadialFactorization.uss
 STEPS = 200
 DRAWS = 64
+DEPTHS = np.geomspace(1e-6, 100.0, 16)
 
 
 def _t_chain_gaussian_pss_3():
@@ -52,6 +55,14 @@ def _t_step_levels_gaussian_pss_5():
     return t_step_levels(target, PSS(5), levels, make_rng(606))
 
 
+def _scalar_solver(target, fac):
+    """Mode, log supremum, then ``r_lo`` and ``r_hi`` at each depth below it."""
+    r_mode = mode_radius(target, fac)
+    sup = log_h_sup(target, fac, r_mode)
+    ivs = [level_interval(target, fac, sup - depth, r_mode, sup) for depth in DEPTHS]
+    return [r_mode, sup] + [iv.r_lo for iv in ivs] + [iv.r_hi for iv in ivs]
+
+
 CASES = {
     "run_x_chain/exponential/pss/d=10":
         lambda: run_x_chain(exponential(10), PSS(10), STEPS, 9.0, seed=101).values,
@@ -69,6 +80,14 @@ CASES = {
         lambda: PiTildeSampler(level_set_function(exponential(3), PSS(3))).sample(
             make_rng(808), DRAWS),
 }
+CASES.update({
+    f"level_interval/{tag}/{name}/d={d}":
+        lambda make=make, d=d, fac=fac: _scalar_solver(make(d), fac(d))
+    for tag, make in (("exponential", exponential), ("volcano", volcano),
+                      ("gaussian", gaussian))
+    for name, fac in (("pss", PSS), ("uss", lambda d: USS()))
+    for d in (2, 10, 30)
+})
 
 
 @pytest.fixture(scope="module")
