@@ -50,7 +50,7 @@ _MAX_EXPANSIONS = 200
 _CHUNK = 1 << 13
 # Newton stopping tolerance in u = log r, relative to max(|u|, 1): 4 ulp.
 _U_TOL = 4.0 * np.finfo(float).eps
-# Scalar bisection stop: bracket width relative to max(larger end, 1).
+# Scalar bisection stop: bracket width relative to max(|root|, 1).
 _REL_TOL = 1e-13
 # canonical_potential: deepest s below the support supremum that it searches.
 _MAX_DEPTH = 700.0
@@ -95,14 +95,16 @@ def _outward(x: float, kappa: float):
 def _bisect(f: Callable[[float], float], level: float, inside: float,
             outside: float, tol: float = _REL_TOL) -> float:
     """Bisect ``f(inside) > level >= f(outside)``; the ends may be in either
-    order.  Returns the midpoint once the width is within ``tol`` times
-    ``max(larger end, 1)``, written as a conditional because a call to the
-    builtin ``max`` costs about as much as the rest of the step."""
+    order.  Stops at a width of ``tol`` times the upper end if above 1, else
+    minus the lower end if below -1, else 1 (``max`` and ``abs`` calls would
+    cost about as much as the rest of the step); returns the midpoint."""
     for _ in range(_MAX_EXPANSIONS):
         if inside < outside:
-            if not outside - inside > tol * (outside if outside > 1.0 else 1.0):
+            if not outside - inside > tol * (
+                    outside if outside > 1.0 else -inside if inside < -1.0 else 1.0):
                 return 0.5 * (inside + outside)
-        elif not inside - outside > tol * (inside if inside > 1.0 else 1.0):
+        elif not inside - outside > tol * (
+                inside if inside > 1.0 else -outside if outside < -1.0 else 1.0):
             return 0.5 * (inside + outside)
         mid = 0.5 * (inside + outside)
         if f(mid) > level:

@@ -324,10 +324,15 @@ class TestCanonicalConstruction:
                     s, rel=1e-9)
 
     def test_round_trip(self):
-        # numeric inversion undoes phi^{-1} to 1e-8
+        # numeric inversion undoes phi^{-1} to 1e-8; the last three have
+        # s0 < -64 (exponential PSS d=30: 29 log 29 - 29), where one ulp of s
+        # exceeds 1e-14, so the stop width must scale with |s|
         cases = [(level_set_function(exponential(5), PSS(5)), 1),
                  (level_set_function(gaussian(4), PSS(4)), 1),
-                 (level_set_function(exponential(3), USS()), 3)]
+                 (level_set_function(exponential(3), USS()), 3),
+                 (level_set_function(exponential(30), PSS(30)), 1),
+                 (level_set_function(exponential(50), PSS(50)), 1),
+                 (level_set_function(gaussian(100), PSS(100)), 1)]
         for ell, k in cases:
             s0 = -ell.log_support_sup
             for s in (s0 + 0.25, s0 + 2.0, s0 + 9.0):
