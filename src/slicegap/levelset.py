@@ -10,12 +10,12 @@ branches, evaluates the generalized level-set function
 and checks the decreasing-function class whose k-th member certifies a
 spectral gap of at least 1/(k+1) for the associated sampler.
 
-Every scalar root -- the profile mode, the two endpoints of one level
-interval and the canonical comparator's potential -- is bracketed by the
-same two searches (halving toward 0; outward toward a finite cutoff or
-by doubling) and solved by one bisection, ``_bisect``.  Arrays of levels
-go through ``level_bounds`` instead: the same brackets, searched on whole
-arrays, then a safeguarded Newton iteration in ``log r``.
+Every root is bracketed by the same searches (toward 0 by halving, or
+below the mode by doubling the depth in ``log r``; outward toward a finite
+cutoff or by doubling).  The profile mode and the canonical comparator's
+potential are solved by one bisection, ``_bisect``; level endpoints by a
+safeguarded Newton iteration in ``log r`` that takes the same steps for
+one level (``level_interval``) and for an array (``level_bounds``).
 """
 
 from __future__ import annotations
@@ -78,6 +78,15 @@ def _halvings(x: float):
         x *= 0.5
 
 
+def _deepening(x: float):
+    """``x * 2**-(2**k)`` (``x/2, x/4, x/16, ...``) until it underflows to 0."""
+    for k in range(_MAX_EXPANSIONS):
+        a = math.ldexp(x, -(1 << k))
+        if a == 0.0:
+            return
+        yield a
+
+
 def _outward(x: float, kappa: float):
     """Points beyond ``x``: halving the distance to a finite cutoff
     ``kappa``, else doubling from ``max(2x, 1)``."""
@@ -94,17 +103,13 @@ def _outward(x: float, kappa: float):
 
 def _bisect(f: Callable[[float], float], level: float, inside: float,
             outside: float, tol: float = _REL_TOL) -> float:
-    """Bisect ``f(inside) > level >= f(outside)``; the ends may be in either
-    order.  Stops at a width of ``tol`` times the upper end if above 1, else
-    minus the lower end if below -1, else 1 (``max`` and ``abs`` calls would
-    cost about as much as the rest of the step); returns the midpoint."""
+    """Bisect ``f(inside) > level >= f(outside)`` with ``inside < outside``.
+    Stops at a width of ``tol`` times ``outside`` if above 1, else minus
+    ``inside`` if below -1, else 1 (``max`` and ``abs`` calls would cost
+    about as much as the rest of the step); returns the midpoint."""
     for _ in range(_MAX_EXPANSIONS):
-        if inside < outside:
-            if not outside - inside > tol * (
-                    outside if outside > 1.0 else -inside if inside < -1.0 else 1.0):
-                return 0.5 * (inside + outside)
-        elif not inside - outside > tol * (
-                inside if inside > 1.0 else -outside if outside < -1.0 else 1.0):
+        if not outside - inside > tol * (
+                outside if outside > 1.0 else -inside if inside < -1.0 else 1.0):
             return 0.5 * (inside + outside)
         mid = 0.5 * (inside + outside)
         if f(mid) > level:
@@ -167,14 +172,14 @@ def log_h_sup(target: RadialTarget, fac: RadialFactorization,
 
 
 # ---------------------------------------------------------------------------
-# Level intervals: scalar bisection and vectorized safeguarded Newton
+# Level intervals: safeguarded Newton in log r, scalar and vectorized
 # ---------------------------------------------------------------------------
 
 def level_interval(target: RadialTarget, fac: RadialFactorization,
                    log_t: float,
                    r_mode: Optional[float] = None,
                    log_sup: Optional[float] = None) -> LevelInterval:
-    """Solve ``log_h(r) = log_t`` on both monotone branches by bisection."""
+    """Solve ``log_h(r) = log_t`` on both branches: :func:`level_bounds` on one level."""
     if r_mode is None:
         r_mode = mode_radius(target, fac)
     if log_sup is None:
@@ -183,7 +188,7 @@ def level_interval(target: RadialTarget, fac: RadialFactorization,
         raise EmptyLevelError(
             f"log_t={log_t} is not below the profile supremum {log_sup}"
         )
-    phi = target.phi
+    phi, dphi = target.phi, target.dphi
     alpha = fac.alpha
 
     def lh(r: float) -> float:
@@ -199,17 +204,17 @@ def level_interval(target: RadialTarget, fac: RadialFactorization,
             raise NoRootError("lower anchor search failed; profile never reaches the level")
     else:
         anchor = r_mode
-        # Without a point at or below the level, the profile limit at 0
-        # already exceeds it and r_lo stays 0.
-        for a in _halvings(0.5 * r_mode):
+        # Without a point at or below the level above the float floor, the
+        # profile exceeds the level all the way down and r_lo stays 0.
+        for a in _deepening(r_mode):
             if lh(a) <= log_t:
-                r_lo = _bisect(lh, log_t, r_mode, a)
+                r_lo = _newton_scalar(phi, dphi, alpha, log_t, a, r_mode)
                 break
 
     # --- upper endpoint --------------------------------------------------
     for hi in _outward(anchor, target.kappa):
         if lh(hi) <= log_t:
-            return LevelInterval(r_lo=r_lo, r_hi=_bisect(lh, log_t, anchor, hi))
+            return LevelInterval(r_lo, _newton_scalar(phi, dphi, alpha, log_t, hi, anchor))
     raise NoRootError("upper bracket expansion failed; profile does not decay")
 
 
@@ -220,9 +225,9 @@ def level_bounds(target: RadialTarget, fac: RadialFactorization,
     """Vectorized :func:`level_interval` over an array of log levels.
 
     Brackets each endpoint like :func:`level_interval`, then solves in
-    ``u = log r`` with a safeguarded Newton iteration that stops on a
-    tolerance.  Levels are processed in chunks of ``_CHUNK`` so that the
-    working arrays stay small.
+    ``u = log r`` with the same safeguarded Newton iteration, which stops
+    on a tolerance.  Levels are processed in chunks of ``_CHUNK`` so that
+    the working arrays stay small.
     """
     log_t = np.asarray(log_t, dtype=float).ravel()
     if r_mode is None:
@@ -263,13 +268,13 @@ def _level_bounds_chunk(target: RadialTarget, alpha: float, r_mode: float,
             raise NoRootError("lower anchor search failed; profile never reaches the level")
     else:
         anchor = np.full(n, r_mode)
-        a = np.full(n, 0.5 * r_mode)
-        for _ in range(_MAX_EXPANSIONS):
+        a = np.empty(n)
+        for point in _deepening(r_mode):
+            a[idx] = point
             idx = idx[excess(a[idx], idx) > 0.0]
             if idx.size == 0:
                 break
-            a[idx] *= 0.5
-        # Elements still searching lie above the level all the way to r = 0.
+        # Elements still searching lie above the level down to the float floor.
         solve = np.ones(n, dtype=bool)
         solve[idx] = False
         if np.any(solve):
@@ -351,6 +356,29 @@ def _newton_log_radius(target: RadialTarget, alpha: float, log_t: np.ndarray,
         else:
             raise NoRootError("safeguarded Newton did not converge on the level interval")
     return np.exp(out)
+
+
+def _newton_scalar(phi, dphi, alpha: float, log_t: float,
+                   r_below: float, r_above: float) -> float:
+    """:func:`_newton_log_radius` on one level bracketed by radii; a zero
+    ``g'`` takes the bisection step, as a NaN one does."""
+    u = xb = math.log(r_below)
+    xa = math.log(r_above)
+    dx = dxold = abs(xa - xb)
+    for _ in range(_MAX_EXPANSIONS):
+        r = math.exp(u)
+        g = alpha * u - phi(r) - log_t
+        dg = alpha - r * dphi(r)
+        xa, xb = (u, xb) if g > 0.0 else (xa, u)
+        step = g / dg if dg else math.inf
+        new = u - step
+        if abs(step) < 0.5 * dxold and (new - xa) * (new - xb) <= 0.0:
+            dxold, dx, u = dx, abs(step), new
+        else:
+            dxold, dx, u = dx, 0.5 * abs(xa - xb), 0.5 * (xa + xb)
+        if dx <= _U_TOL * (u if u > 1.0 else -u if u < -1.0 else 1.0):
+            return math.exp(u)
+    raise NoRootError("safeguarded Newton did not converge on the level interval")
 
 
 # ---------------------------------------------------------------------------

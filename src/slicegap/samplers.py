@@ -121,16 +121,14 @@ def x_update_radius(target: RadialTarget, fac: RadialFactorization,
 
     For PSS (``alpha = d-1``) this is uniform on the interval; otherwise the
     power-law inverse CDF is evaluated in log domain so that large
-    dimensions never overflow.
+    dimensions never overflow.  Scalar inputs give a float.
     """
-    beta = target.dim - fac.alpha
-    if np.ndim(log_t) == 0 and np.ndim(u) == 0:
-        iv = level_interval(target, fac, float(log_t))
-        return _inverse_cdf_radius(iv.r_lo, iv.r_hi, float(u), beta)
-    log_t = np.asarray(log_t, dtype=float)
-    u = np.broadcast_to(np.asarray(u, dtype=float), log_t.shape).copy()
     r_lo, r_hi = level_bounds(target, fac, log_t)
-    return _inverse_cdf_radius_vec(r_lo, r_hi, u, beta)
+    u_arr = np.broadcast_to(np.asarray(u, dtype=float), np.shape(log_t)).ravel()
+    out = _inverse_cdf_radius_vec(r_lo, r_hi, u_arr, target.dim - fac.alpha)
+    if np.ndim(log_t) == 0 and np.ndim(u) == 0:
+        return float(out[0])
+    return out
 
 
 def _inverse_cdf_radius(r_lo: float, r_hi: float, u: float, beta: float) -> float:
@@ -153,10 +151,9 @@ def _inverse_cdf_radius_vec(r_lo, r_hi, u, beta: float) -> np.ndarray:
     pos = r_lo > 0.0
     q[pos] = np.exp(beta * (np.log(r_lo[pos]) - np.log(r_hi[pos])))
     inner = q + u * (1.0 - q)
-    out = np.where(inner > 0.0,
-                   r_hi * np.exp(np.log(np.where(inner > 0.0, inner, 1.0)) / beta),
-                   r_lo)
-    return out
+    return np.where(inner > 0.0,
+                    r_hi * np.exp(np.log(np.where(inner > 0.0, inner, 1.0)) / beta),
+                    r_lo)
 
 
 def sample_direction(d: int, rng: np.random.Generator) -> np.ndarray:

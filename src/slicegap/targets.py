@@ -156,7 +156,7 @@ def log_surface_area(d: int) -> float:
 def exponential(dim: int) -> RadialTarget:
     """phi(r) = r: the density exp(-||x||)."""
     return RadialTarget(
-        phi=lambda r: r, dphi=lambda r: np.ones_like(np.asarray(r, dtype=float)) if np.ndim(r) else 1.0,
+        phi=lambda r: r, dphi=lambda r: 0.0 * r + 1.0,
         kappa=math.inf, dim=dim, tag="exponential",
     )
 
@@ -189,7 +189,7 @@ def radial_weighted_exponential(dim: int) -> RadialTarget:
     """
     dm1 = dim - 1
     return RadialTarget(
-        phi=lambda r: r + dm1 * np.log(r) if np.ndim(r) else r + dm1 * math.log(r),
+        phi=lambda r: r + dm1 * np.log(r),
         dphi=lambda r: 1.0 + dm1 / r,
         kappa=math.inf, dim=dim, tag="radial_weighted_exponential",
     )

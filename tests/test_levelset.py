@@ -11,6 +11,7 @@ from scipy.special import lambertw
 
 from slicegap import levelset
 from slicegap.errors import DomainError, EmptyLevelError, NoRootError
+from slicegap.harness import DESK_DIMS
 from slicegap.levelset import (
     canonical_inverse_phi,
     canonical_potential,
@@ -22,6 +23,7 @@ from slicegap.levelset import (
     log_h_sup,
     mode_radius,
 )
+from slicegap.samplers import run_t_chain
 from slicegap.targets import (
     BUILTIN_TAGS,
     RadialFactorization,
@@ -137,23 +139,28 @@ class TestVectorizedSolver:
         iv = level_interval(target, fac, log_t, r_mode=r_mode, log_sup=sup)
         lo, hi = level_bounds(target, fac, np.array([log_t]), r_mode=r_mode,
                               log_sup=sup)
-        # the scalar bisection stops on a bracket of 1e-13 * max(r, 1)
-        slack = 1e-13 * max(iv.r_hi, 1.0)
-        assert lo[0] == pytest.approx(iv.r_lo, rel=1e-12, abs=slack)
-        assert hi[0] == pytest.approx(iv.r_hi, rel=1e-12, abs=slack)
+        # both forms take the same Newton steps in log r
+        assert lo[0] == pytest.approx(iv.r_lo, rel=1e-12, abs=0)
+        assert hi[0] == pytest.approx(iv.r_hi, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("d", [5, 10])
+    @pytest.mark.parametrize("d", [2, 5, 10])
     def test_exponential_pss_matches_lambert_w(self, d):
         # (d-1) log r - r = log t has the roots -(d-1) W_k(-t^{1/(d-1)}/(d-1)),
-        # branch k = 0 below the mode and k = -1 above it
+        # branch k = 0 below the mode and k = -1 above it.  At d = 2 the lower
+        # root 40 below the supremum is 1.5628821893349888e-18 (a stop width
+        # of 1e-13 absolute gave 2.8e-14), and those at 150 and 300 below it,
+        # 2.6e-66 and 1.9e-131, lie beyond 200 halvings of r_mode / 2
         target, fac = exponential(d), PSS(d)
         r_mode, sup = _mode_and_sup(target, fac)
-        lts = sup - np.linspace(0.5, 450.0, 400)
+        lts = sup - np.concatenate([np.linspace(0.5, 450.0, 400), [40.0, 150.0, 300.0]])
         a = d - 1.0
         z = -np.exp(lts / a) / a
+        lo_ref, hi_ref = -a * lambertw(z, 0).real, -a * lambertw(z, -1).real
         lo, hi = level_bounds(target, fac, lts, r_mode=r_mode, log_sup=sup)
-        np.testing.assert_allclose(lo, -a * lambertw(z, 0).real, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(hi, -a * lambertw(z, -1).real, rtol=1e-13, atol=0)
+        ivs = [level_interval(target, fac, float(lt), r_mode, sup) for lt in lts]
+        for got_lo, got_hi in ((lo, hi), ([iv.r_lo for iv in ivs], [iv.r_hi for iv in ivs])):
+            np.testing.assert_allclose(got_lo, lo_ref, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(got_hi, hi_ref, rtol=1e-13, atol=0)
 
     def test_evaluation_budget(self):
         # a fixed 110-step bisection per branch costs 228 phi evaluations
@@ -227,6 +234,48 @@ class TestScalarSolver:
             iv = level_interval(target, PSS(3), float(lt))
             assert iv.r_lo == pytest.approx(lo[i], rel=0, abs=1e-12)
             assert iv.r_hi == pytest.approx(hi[i], rel=0, abs=1e-12)
+
+    def test_evaluation_budget_on_sweep_levels(self):
+        # 301 levels of a T chain in each desk sweep cell: the bisection to
+        # a 1e-13 bracket took 66 phi evaluations per level, the Newton
+        # iteration about 12 phi + 8.5 dphi
+        count = [0]
+
+        def counted(fn):
+            def wrapped(r):
+                count[0] += 1
+                return fn(r)
+            return wrapped
+
+        levels = 0
+        for d in DESK_DIMS:
+            for fac in (PSS(d), USS()):
+                base = exponential(d)
+                r_mode, sup = _mode_and_sup(base, fac)
+                lts = run_t_chain(base, fac, 300, sup - 1.0, seed=d).values
+                target = RadialTarget(phi=counted(base.phi), dphi=counted(base.dphi),
+                                      dim=d)
+                for lt in lts:
+                    level_interval(target, fac, float(lt), r_mode, sup)
+                levels += lts.size
+        assert count[0] / levels <= 24
+
+    @pytest.mark.parametrize("base, fac, dphi", [
+        (gaussian(4), PSS(4), lambda r: math.nan),
+        (volcano(4, 2.0), USS(), lambda r: 0.0 * r),
+    ], ids=["nan", "zero"])
+    def test_degenerate_derivative_converges_by_bisection(self, base, fac, dphi):
+        # a NaN g', or g' = 0 exactly (alpha = 0 and dphi = 0), has no
+        # Newton step: every step must bisect, on both branches (the volcano
+        # profile at r = 0 lies 4 below its supremum)
+        r_mode, sup = _mode_and_sup(base, fac)
+        stub = RadialTarget(phi=base.phi, dphi=dphi, dim=base.dim)
+        for depth in (1e-3, 0.5, 2.0, 3.5):
+            got = level_interval(stub, fac, sup - depth, r_mode, sup)
+            want = level_interval(base, fac, sup - depth, r_mode, sup)
+            assert got.r_lo > 0.0
+            assert got.r_lo == pytest.approx(want.r_lo, rel=1e-12, abs=0)
+            assert got.r_hi == pytest.approx(want.r_hi, rel=1e-12, abs=0)
 
     def test_bisection_is_capped(self):
         # f never reaches the level: shrinking [1e-300, 1e300] to a 1e-13

@@ -9,7 +9,10 @@ profile mode, the log supremum and both endpoints on 16 levels.
 
 Regenerate the file (only when a change of the traces is intended) with
 
-    PYTHONPATH=src python tests/test_reference_traces.py
+    PYTHONPATH=src python tests/test_reference_traces.py [PREFIX ...]
+
+Given name prefixes, only the cases whose names start with one of them are
+rewritten; the others keep their saved values.
 """
 
 import json
@@ -109,8 +112,16 @@ def test_matches_reference_trace(name, reference):
 
 
 if __name__ == "__main__":
+    import sys
+
+    prefixes = tuple(sys.argv[1:])
     DATA.parent.mkdir(exist_ok=True)
-    traces = {name: [float(v) for v in np.asarray(make())] for name, make in CASES.items()}
+    traces = {}
+    if prefixes:
+        with open(DATA) as fh:
+            traces = json.load(fh)
+    traces.update({name: [float(v) for v in np.asarray(make())]
+                   for name, make in CASES.items() if name.startswith(prefixes or "")})
     with open(DATA, "w") as fh:
         json.dump(traces, fh, indent=1, sort_keys=True)
         fh.write("\n")
