@@ -37,9 +37,12 @@ __all__ = [
 ]
 
 
-def _finite_difference(phi: Callable[[float], float]) -> Callable[[float], float]:
+def _finite_difference(phi: Callable[[float], float],
+                       kappa: float = math.inf) -> Callable[[float], float]:
+    """Central difference of ``phi`` whose points stay inside ``(0, kappa)``."""
     def dphi(r):
-        h = np.maximum(1e-6, 1e-6 * np.abs(r))
+        h = np.minimum(np.maximum(1e-6, 1e-6 * np.abs(r)),
+                       0.5 * np.minimum(r, kappa - r))
         return (phi(r + h) - phi(r - h)) / (2.0 * h)
 
     return dphi
@@ -86,7 +89,7 @@ class RadialTarget:
         if not self.kappa > 0:
             raise DomainError(f"kappa must be positive, got {self.kappa}")
         if self.dphi is None:
-            object.__setattr__(self, "dphi", _finite_difference(self.phi))
+            object.__setattr__(self, "dphi", _finite_difference(self.phi, self.kappa))
 
     def phi_vec(self, r: np.ndarray) -> np.ndarray:
         """Vectorized potential evaluation (phi may be scalar-only)."""
@@ -156,7 +159,7 @@ def log_surface_area(d: int) -> float:
 def exponential(dim: int) -> RadialTarget:
     """phi(r) = r: the density exp(-||x||)."""
     return RadialTarget(
-        phi=lambda r: r, dphi=lambda r: 0.0 * r + 1.0,
+        phi=lambda r: r, dphi=lambda r: 1.0,
         kappa=math.inf, dim=dim, tag="exponential",
     )
 
@@ -229,7 +232,7 @@ def validate_target(target: RadialTarget) -> None:
         edge = target.phi_vec(target.kappa - deltas)
         if not (np.all(np.diff(edge) > 0) and edge[-1] > vals.mean() + 10.0):
             raise DomainError("phi does not diverge at the finite cutoff kappa")
-    fd = _finite_difference(target.phi)
+    fd = _finite_difference(target.phi, target.kappa)
     for r in probe:
         a = target.dphi(float(r))
         b = fd(float(r))

@@ -277,6 +277,21 @@ class TestScalarSolver:
             assert got.r_lo == pytest.approx(want.r_lo, rel=1e-12, abs=0)
             assert got.r_hi == pytest.approx(want.r_hi, rel=1e-12, abs=0)
 
+    def test_finite_difference_stays_inside_support(self):
+        # without dphi, a fixed 1e-6 central-difference step would evaluate
+        # a scalar-only phi outside (0, kappa) near either end of a level
+        barrier = RadialTarget(phi=lambda r: -math.log(1.0 - r), kappa=1.0, dim=2)
+        iv = level_interval(barrier, USS(), -20.0)
+        assert iv.r_hi == pytest.approx(-math.expm1(-20.0), rel=1e-12, abs=0)
+        with pytest.warns(RuntimeWarning, match="element by element"):
+            _, hi = level_bounds(barrier, USS(), np.array([-20.0]))
+        assert hi[0] == pytest.approx(-math.expm1(-20.0), rel=1e-12, abs=0)
+        # 2 log r - r^2/2 at 40 below its supremum: root from mpmath
+        quadratic = RadialTarget(phi=lambda r: 0.5 * math.exp(2.0 * math.log(r)), dim=3)
+        sup = log_h_sup(quadratic, PSS(3))
+        iv = level_interval(quadratic, PSS(3), sup - 40.0)
+        assert iv.r_lo == pytest.approx(1.767983138683731e-09, rel=1e-12, abs=0)
+
     def test_bisection_is_capped(self):
         # f never reaches the level: shrinking [1e-300, 1e300] to a 1e-13
         # bracket takes about 1040 halvings, far beyond the cap

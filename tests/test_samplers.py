@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from slicegap import samplers
 from slicegap.errors import DomainError
-from slicegap.levelset import level_set_function, log_h_sup, mode_radius
+from slicegap.levelset import level_interval, level_set_function, log_h_sup, mode_radius
 from slicegap.samplers import (
     PiTildeSampler,
     RadialStationarySampler,
@@ -77,7 +77,6 @@ class TestXUpdateRadius:
         fac = USS()
         sup = log_h_sup(target, fac)
         for log_t, u in [(sup - 0.5, 0.1), (sup - 4.0, 0.5), (sup - 9.0, 0.93)]:
-            from slicegap.levelset import level_interval
             iv = level_interval(target, fac, log_t)
             direct = (iv.r_lo ** 3 + u * (iv.r_hi ** 3 - iv.r_lo ** 3)) ** (1 / 3)
             assert x_update_radius(target, fac, log_t, u) == pytest.approx(
@@ -92,16 +91,32 @@ class TestXUpdateRadius:
         assert 0.0 < r < 5.0 and math.isfinite(r)
 
     def test_vectorized_agrees_with_scalar(self):
+        # the chains draw with level_interval and the scalar inverse CDF,
+        # x_update_radius with level_bounds and the vectorized one
         target = gaussian(5)
-        fac = PSS(5)
-        sup = log_h_sup(target, fac)
-        log_ts = sup - np.array([0.4, 2.0, 7.5])
         us = np.array([0.2, 0.5, 0.9])
-        vec = x_update_radius(target, fac, log_ts, us)
-        for i in range(3):
-            assert vec[i] == pytest.approx(
-                x_update_radius(target, fac, float(log_ts[i]), float(us[i])),
-                rel=1e-12)
+        for fac in (PSS(5), USS()):
+            sup = log_h_sup(target, fac)
+            log_ts = sup - np.array([0.4, 2.0, 7.5])
+            vec = x_update_radius(target, fac, log_ts, us)
+            for i in range(3):
+                iv = level_interval(target, fac, float(log_ts[i]))
+                assert vec[i] == pytest.approx(samplers._inverse_cdf_radius(
+                    iv.r_lo, iv.r_hi, float(us[i]), 5.0 - fac.alpha), rel=1e-12)
+
+    @pytest.mark.parametrize("r_lo, r_hi, u, beta, want", [
+        (1.0, 3.0, 0.5, 1.0, 2.0),                   # uniform midpoint
+        (0.0, 2.0, 0.25, 2.0, 1.0),                  # disc: F(r) = r^2 / 4
+        (1.0, 2.0, 0.5, 3.0, 4.5 ** (1.0 / 3.0)),    # (1 + u (8 - 1))^(1/3)
+        (0.0, 5.0, 0.5, 1000.0, 5.0 * 0.5 ** 1e-3),  # d = 1000 USS
+        (4.0, 5.0, 0.5, 1000.0, 5.0 * 0.5 ** 1e-3),  # 4^1000 overflows
+    ], ids=["midpoint", "disc", "shell", "d1000", "d1000-shell"])
+    def test_scalar_inverse_cdf(self, r_lo, r_hi, u, beta, want):
+        r = samplers._inverse_cdf_radius(r_lo, r_hi, u, beta)
+        assert r == pytest.approx(want, rel=1e-12)
+        vec = samplers._inverse_cdf_radius_vec(
+            np.array([r_lo]), np.array([r_hi]), np.array([u]), beta)
+        assert vec[0] == pytest.approx(r, rel=1e-15)
 
 
 class TestSampleDirection:
