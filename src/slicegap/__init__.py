@@ -28,9 +28,9 @@ from .kernel import (
     transition_cdf,
 )
 from .levelset import (
-    LevelInterval,
     LevelSetFunction,
     MembershipReport,
+    SliceProfile,
     canonical_inverse_phi,
     canonical_potential,
     lambda_k_check,
@@ -39,6 +39,7 @@ from .levelset import (
     level_set_function,
     log_h_sup,
     mode_radius,
+    slice_profile,
 )
 from .samplers import (
     PiTildeSampler,

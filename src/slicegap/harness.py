@@ -30,8 +30,7 @@ from .levelset import (
     level_bounds,
     level_interval,
     level_set_function,
-    log_h_sup,
-    mode_radius,
+    slice_profile,
 )
 from .samplers import (
     PiTildeSampler,
@@ -327,15 +326,12 @@ def adjointness_check(target, fac) -> float:
     d = target.dim
     alpha = fac.alpha
     beta = d - alpha
-    fac_rad = RadialFactorization(float(d - 1))
-    r_mode_rad = mode_radius(target, fac_rad)
-    sup_rad = log_h_sup(target, fac_rad, r_mode_rad)
-    iv = level_interval(target, fac_rad, sup_rad - 60.0,
-                        r_mode=r_mode_rad, log_sup=sup_rad)
-    r_a = max(iv.r_lo, 1e-12)
+    prof_rad = slice_profile(target, RadialFactorization(float(d - 1)))
+    r_lo_rad, r_hi_rad = level_interval(prof_rad, prof_rad.log_sup - 60.0)
+    r_a = max(r_lo_rad, 1e-12)
 
     # dense radial grid for all quadratures
-    r = np.linspace(r_a, iv.r_hi, (1 << 17) + 1)
+    r = np.linspace(r_a, r_hi_rad, (1 << 17) + 1)
     log_rho = (d - 1) * np.log(r) - target.phi_vec(r)
     rho = np.exp(log_rho - np.max(log_rho))           # scaled radial density
     c_norm = simpson(rho, x=r)                        # scaled normalization
@@ -349,7 +345,7 @@ def adjointness_check(target, fac) -> float:
     v_grid = np.linspace(math.sqrt(1e-12), math.sqrt(40.0), 4096 + 1)
     s_grid = s_sup - v_grid[::-1] ** 2
     t_grid = np.exp(s_grid)
-    r_lo_t, r_hi_t = level_bounds(target, fac, s_grid)
+    r_lo_t, r_hi_t = level_bounds(slice_profile(target, fac), s_grid)
     ell_log = ell.log(s_grid)
     ell_scaled = np.where(np.isfinite(ell_log),
                           np.exp(ell_log - np.max(ell_log[np.isfinite(ell_log)])), 0.0)

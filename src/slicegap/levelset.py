@@ -1,9 +1,10 @@
-"""Level intervals, the generalized level-set function and class membership.
+"""Slice profiles, level intervals, the level-set function and class membership.
 
 The slice profile ``h_alpha(r) = r^alpha exp(-phi(r))`` of an in-class
 target is unimodal, so every super level set ``{r : h_alpha(r) > t}`` is an
-interval.  This module locates the interval endpoints on the two monotone
-branches, evaluates the generalized level-set function
+interval.  A :class:`SliceProfile` holds the profile's mode and supremum,
+solved once; from it this module locates the interval endpoints on the two
+monotone branches, evaluates the generalized level-set function
 
     ell(t) = sigma_{d-1} / (d - alpha) * (r_hi^{d-alpha} - r_lo^{d-alpha}),
 
@@ -12,10 +13,11 @@ spectral gap of at least 1/(k+1) for the associated sampler.
 
 Every root is bracketed by the same searches (toward 0 by halving, or
 below the mode by doubling the depth in ``log r``; outward toward a finite
-cutoff or by doubling).  The profile mode and the canonical comparator's
-potential are solved by one bisection, ``_bisect``; level endpoints by a
-safeguarded Newton iteration in ``log r`` that takes the same steps for
-one level (``level_interval``) and for an array (``level_bounds``).
+cutoff or by doubling), for one level or an array of levels.  The profile
+mode and the canonical comparator's potential are solved by one bisection,
+``_bisect``; level endpoints by a safeguarded Newton iteration in ``log r``
+that takes the same steps for one level (``level_interval``) and for an
+array (``level_bounds``).
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from .errors import DomainError, EmptyLevelError, NoRootError
 from .targets import RadialFactorization, RadialTarget, log_h, log_surface_area
 
 __all__ = [
-    "LevelInterval",
     "LevelSetFunction",
     "MembershipReport",
+    "SliceProfile",
+    "slice_profile",
     "mode_radius",
     "log_h_sup",
     "level_interval",
@@ -59,14 +62,6 @@ _PROBE_POINTS = 200
 _PROBE_DEPTH = 40.0
 
 
-@dataclass(frozen=True)
-class LevelInterval:
-    """Endpoints of a radial super level set ``{r : h_alpha(r) > t}``."""
-
-    r_lo: float
-    r_hi: float
-
-
 # ---------------------------------------------------------------------------
 # Scalar root finding: bracket searches and one bisection
 # ---------------------------------------------------------------------------
@@ -87,18 +82,18 @@ def _deepening(x: float):
         yield a
 
 
-def _outward(x: float, kappa: float):
-    """Points beyond ``x``: halving the distance to a finite cutoff
-    ``kappa``, else doubling from ``max(2x, 1)``."""
+def _outward(x, kappa: float):
+    """Points beyond ``x`` (a float or an array of them): halving the
+    distance to a finite cutoff ``kappa``, else doubling from ``max(2x, 1)``."""
     if math.isfinite(kappa):
         gap = kappa - x
         for j in range(1, _MAX_EXPANSIONS):
             yield kappa - gap * 0.5**j
     else:
-        x = max(2.0 * x, 1.0)
+        x = np.maximum(2.0 * x, 1.0) if isinstance(x, np.ndarray) else max(2.0 * x, 1.0)
         for _ in range(_MAX_EXPANSIONS):
             yield x
-            x *= 2.0
+            x = 2.0 * x
 
 
 def _bisect(f: Callable[[float], float], level: float, inside: float,
@@ -120,12 +115,8 @@ def _bisect(f: Callable[[float], float], level: float, inside: float,
 
 
 # ---------------------------------------------------------------------------
-# Mode of the profile
+# The slice profile: mode and supremum
 # ---------------------------------------------------------------------------
-
-def _tiny_radius(target: RadialTarget) -> float:
-    return min(1e-100, target.kappa * 0.5)
-
 
 def mode_radius(target: RadialTarget, fac: RadialFactorization) -> float:
     """Radius maximizing ``h_alpha``; 0 if the profile is non-increasing.
@@ -156,40 +147,49 @@ def mode_radius(target: RadialTarget, fac: RadialFactorization) -> float:
     )
 
 
-def log_h_sup(target: RadialTarget, fac: RadialFactorization,
-              r_mode: Optional[float] = None) -> float:
-    """Log of ``sup_r h_alpha(r)``; +inf when the profile diverges at 0."""
-    if r_mode is None:
-        r_mode = mode_radius(target, fac)
+@dataclass(frozen=True)
+class SliceProfile:
+    """The slice profile ``h_alpha`` of a target, built by :func:`slice_profile`:
+    its weight exponent ``alpha``, its mode ``r_mode`` (0 if non-increasing)
+    and ``log_sup``, the log of its supremum (+inf when it diverges at 0)."""
+
+    target: RadialTarget
+    alpha: float
+    r_mode: float
+    log_sup: float
+
+
+def slice_profile(target: RadialTarget, fac: RadialFactorization) -> SliceProfile:
+    """Validate ``fac`` for ``target`` and solve the profile's mode and supremum."""
+    r_mode = mode_radius(target, fac)
     if r_mode > 0.0:
-        return log_h(target, fac, r_mode)
-    eps = _tiny_radius(target)
-    v1 = log_h(target, fac, eps)
-    v2 = log_h(target, fac, eps * 1e-50)
-    if v2 > v1 + 1e-6 * (1.0 + abs(v1)):
-        return math.inf
-    return v1
+        log_sup = log_h(target, fac, r_mode)
+    else:
+        eps = min(1e-100, target.kappa * 0.5)
+        log_sup = log_h(target, fac, eps)
+        if log_h(target, fac, eps * 1e-50) > log_sup + 1e-6 * (1.0 + abs(log_sup)):
+            log_sup = math.inf
+    return SliceProfile(target, fac.alpha, r_mode, log_sup)
+
+
+def log_h_sup(target: RadialTarget, fac: RadialFactorization) -> float:
+    """Log of ``sup_r h_alpha(r)``; +inf when the profile diverges at 0."""
+    return slice_profile(target, fac).log_sup
 
 
 # ---------------------------------------------------------------------------
 # Level intervals: safeguarded Newton in log r, scalar and vectorized
 # ---------------------------------------------------------------------------
 
-def level_interval(target: RadialTarget, fac: RadialFactorization,
-                   log_t: float,
-                   r_mode: Optional[float] = None,
-                   log_sup: Optional[float] = None) -> LevelInterval:
-    """Solve ``log_h(r) = log_t`` on both branches: :func:`level_bounds` on one level."""
-    if r_mode is None:
-        r_mode = mode_radius(target, fac)
-    if log_sup is None:
-        log_sup = log_h_sup(target, fac, r_mode)
-    if not log_t < log_sup:
+def level_interval(prof: SliceProfile, log_t: float) -> tuple[float, float]:
+    """``(r_lo, r_hi)`` solving ``log_h(r) = log_t`` on both branches of the
+    profile: :func:`level_bounds` on one level."""
+    if not log_t < prof.log_sup:
         raise EmptyLevelError(
-            f"log_t={log_t} is not below the profile supremum {log_sup}"
+            f"log_t={log_t} is not below the profile supremum {prof.log_sup}"
         )
+    target, alpha, r_mode = prof.target, prof.alpha, prof.r_mode
     phi, dphi = target.phi, target.dphi
-    alpha = fac.alpha
 
     def lh(r: float) -> float:
         return alpha * math.log(r) - phi(r)
@@ -214,97 +214,73 @@ def level_interval(target: RadialTarget, fac: RadialFactorization,
     # --- upper endpoint --------------------------------------------------
     for hi in _outward(anchor, target.kappa):
         if lh(hi) <= log_t:
-            return LevelInterval(r_lo, _newton_scalar(phi, dphi, alpha, log_t, hi, anchor))
+            return r_lo, _newton_scalar(phi, dphi, alpha, log_t, hi, anchor)
     raise NoRootError("upper bracket expansion failed; profile does not decay")
 
 
-def level_bounds(target: RadialTarget, fac: RadialFactorization,
-                 log_t: np.ndarray,
-                 r_mode: Optional[float] = None,
-                 log_sup: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
+def level_bounds(prof: SliceProfile, log_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`level_interval` over an array of log levels.
 
-    Brackets each endpoint like :func:`level_interval`, then solves in
-    ``u = log r`` with the same safeguarded Newton iteration, which stops
-    on a tolerance.  Levels are processed in chunks of ``_CHUNK`` so that
-    the working arrays stay small.
+    Brackets each endpoint with the searches of :func:`level_interval`,
+    then solves in ``u = log r`` with the same safeguarded Newton
+    iteration, which stops on a tolerance.  Levels are processed in chunks
+    of ``_CHUNK`` so that the working arrays stay small.
     """
     log_t = np.asarray(log_t, dtype=float).ravel()
-    if r_mode is None:
-        r_mode = mode_radius(target, fac)
-    if log_sup is None:
-        log_sup = log_h_sup(target, fac, r_mode)
-    if np.any(log_t >= log_sup):
+    if np.any(log_t >= prof.log_sup):
         raise EmptyLevelError("some levels are not below the profile supremum")
     r_lo = np.empty(log_t.size)
     r_hi = np.empty(log_t.size)
     for start in range(0, log_t.size, _CHUNK):
         part = slice(start, start + _CHUNK)
-        r_lo[part], r_hi[part] = _level_bounds_chunk(target, fac.alpha, r_mode,
-                                                     log_t[part])
+        r_lo[part], r_hi[part] = _level_bounds_chunk(prof, log_t[part])
     return r_lo, r_hi
 
 
-def _level_bounds_chunk(target: RadialTarget, alpha: float, r_mode: float,
-                        log_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    kappa = target.kappa
-    n = log_t.size
+def _first_crossing(points, crossed, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Run a bracket search for ``n`` levels at once: per level, the first
+    of ``points`` (floats, or arrays over the levels) at which
+    ``crossed(r, idx)`` holds for the levels ``idx`` still searching.
+    Returns those points and the indices of the levels that never crossed."""
+    at = np.empty(n)
+    idx = np.arange(n)
+    for p in points:
+        at[idx] = p[idx] if isinstance(p, np.ndarray) else p
+        idx = idx[~crossed(at[idx], idx)]
+        if idx.size == 0:
+            break
+    return at, idx
 
-    def excess(r: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """``lh(r) - log_t`` for the elements ``idx`` still searching."""
-        return alpha * np.log(r) - target.phi_vec(r) - log_t[idx]
+
+def _level_bounds_chunk(prof: SliceProfile,
+                        log_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    target, alpha, r_mode = prof.target, prof.alpha, prof.r_mode
+    n = log_t.size
+    lh = lambda r: alpha * np.log(r) - target.phi_vec(r)
+    below = lambda r, idx: lh(r) <= log_t[idx]
 
     # --- lower endpoint and anchor for the upper branch ------------------
     r_lo = np.zeros(n)
-    idx = np.arange(n)
     if r_mode == 0.0:
-        anchor = np.full(n, min(1.0, 0.5 * kappa))
-        for _ in range(_MAX_EXPANSIONS):
-            idx = idx[excess(anchor[idx], idx) < 0.0]
-            if idx.size == 0:
-                break
-            anchor[idx] *= 0.5
-        else:
+        anchor, left = _first_crossing(_halvings(min(1.0, 0.5 * target.kappa)),
+                                       lambda r, idx: lh(r) >= log_t[idx], n)
+        if left.size:
             raise NoRootError("lower anchor search failed; profile never reaches the level")
     else:
         anchor = np.full(n, r_mode)
-        a = np.empty(n)
-        for point in _deepening(r_mode):
-            a[idx] = point
-            idx = idx[excess(a[idx], idx) > 0.0]
-            if idx.size == 0:
-                break
-        # Elements still searching lie above the level down to the float floor.
+        a, left = _first_crossing(_deepening(r_mode), below, n)
+        # Levels left lie above the level down to the float floor: r_lo = 0.
         solve = np.ones(n, dtype=bool)
-        solve[idx] = False
+        solve[left] = False
         if np.any(solve):
             u_mode = np.full(int(solve.sum()), math.log(r_mode))
             r_lo[solve] = _newton_log_radius(target, alpha, log_t[solve],
                                              u_below=np.log(a[solve]), u_above=u_mode)
 
     # --- upper endpoint ---------------------------------------------------
-    idx = np.arange(n)
-    if math.isfinite(kappa):
-        hi = anchor.copy()
-        gap = kappa - anchor
-        scale = 0.5
-        for _ in range(_MAX_EXPANSIONS):
-            hi[idx] = kappa - gap[idx] * scale
-            idx = idx[excess(hi[idx], idx) > 0.0]
-            if idx.size == 0:
-                break
-            scale *= 0.5
-        else:
-            raise NoRootError("upper bracket expansion failed at finite cutoff")
-    else:
-        hi = np.maximum(2.0 * anchor, 1.0)
-        for _ in range(_MAX_EXPANSIONS):
-            idx = idx[excess(hi[idx], idx) > 0.0]
-            if idx.size == 0:
-                break
-            hi[idx] *= 2.0
-        else:
-            raise NoRootError("upper bracket expansion failed; profile does not decay")
+    hi, left = _first_crossing(_outward(anchor, target.kappa), below, n)
+    if left.size:
+        raise NoRootError("upper bracket expansion failed; profile does not decay")
     r_hi = _newton_log_radius(target, alpha, log_t,
                               u_below=np.log(hi), u_above=np.log(anchor))
     return r_lo, r_hi
@@ -412,9 +388,8 @@ class LevelSetFunction:
 
 def level_set_function(target: RadialTarget, fac: RadialFactorization) -> LevelSetFunction:
     """Build the level-set function of a target/factorization pair."""
-    fac.validate_for(target)
-    r_mode = mode_radius(target, fac)
-    log_sup = log_h_sup(target, fac, r_mode)
+    prof = slice_profile(target, fac)
+    log_sup = prof.log_sup
     beta = target.dim - fac.alpha
     log_sigma = log_surface_area(target.dim)
     if math.isfinite(target.kappa):
@@ -427,7 +402,7 @@ def level_set_function(target: RadialTarget, fac: RadialFactorization) -> LevelS
         out = np.full(lt.shape, -math.inf)
         inside = lt < log_sup
         if np.any(inside):
-            r_lo, r_hi = level_bounds(target, fac, lt[inside], r_mode, log_sup)
+            r_lo, r_hi = level_bounds(prof, lt[inside])
             vals = log_sigma - math.log(beta) + beta * np.log(r_hi)
             pos = r_lo > 0.0
             if np.any(pos):

@@ -7,9 +7,12 @@ vectors.  A full-vector mode exists to validate that reduction at small
 dimension.  The level draw ``t ~ Unif(0, h(x))`` is performed as
 ``log t = log h(x) + log u`` and the set draw is an exact inverse-CDF
 sample of the radial density ``r^{d-1-alpha}`` on the level interval.
-Both chains are built from one pair of these half-steps.  The two
-stationary oracles share one grid inverse CDF, and every redraw loop is
-capped.
+Every entry point solves the slice profile once
+(:func:`~slicegap.levelset.slice_profile`) and takes all of its level
+intervals from it.  Both chains are built from one pair of these
+half-steps; they and the one-step maps draw every uniform from the open
+interval (0, 1).  The two stationary oracles share one grid inverse CDF,
+and every redraw loop is capped.
 """
 
 from __future__ import annotations
@@ -17,17 +20,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError
 from .levelset import (
     LevelSetFunction,
+    SliceProfile,
     level_bounds,
     level_interval,
-    log_h_sup,
-    mode_radius,
+    slice_profile,
 )
 from .targets import RadialFactorization, RadialTarget, log_h
 
@@ -115,17 +117,16 @@ def t_update(log_h_x, u):
     return out
 
 
-def x_update_radius(target: RadialTarget, fac: RadialFactorization,
-                    log_t, u):
+def x_update_radius(prof: SliceProfile, log_t, u):
     """Inverse-CDF draw of the radial density ``r^{d-1-alpha}`` on the level.
 
     For PSS (``alpha = d-1``) this is uniform on the interval; otherwise the
     power-law inverse CDF is evaluated in log domain so that large
     dimensions never overflow.  Scalar inputs give a float.
     """
-    r_lo, r_hi = level_bounds(target, fac, log_t)
+    r_lo, r_hi = level_bounds(prof, log_t)
     u_arr = np.broadcast_to(np.asarray(u, dtype=float), np.shape(log_t)).ravel()
-    out = _inverse_cdf_radius_vec(r_lo, r_hi, u_arr, target.dim - fac.alpha)
+    out = _inverse_cdf_radius_vec(r_lo, r_hi, u_arr, prof.target.dim - prof.alpha)
     if np.ndim(log_t) == 0 and np.ndim(u) == 0:
         return float(out[0])
     return out
@@ -176,9 +177,7 @@ def _half_steps(target: RadialTarget, fac: RadialFactorization, n: int,
     radius from the level set."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    fac.validate_for(target)
-    r_mode = mode_radius(target, fac)
-    log_sup = log_h_sup(target, fac, r_mode)
+    prof = slice_profile(target, fac)
     phi = target.phi
     alpha = fac.alpha
     beta = target.dim - alpha
@@ -187,10 +186,10 @@ def _half_steps(target: RadialTarget, fac: RadialFactorization, n: int,
         return alpha * math.log(r) - phi(r) + math.log(_open_uniform(rng))
 
     def radius(log_t: float) -> float:
-        iv = level_interval(target, fac, log_t, r_mode=r_mode, log_sup=log_sup)
-        return _inverse_cdf_radius(iv.r_lo, iv.r_hi, rng.random(), beta)
+        r_lo, r_hi = level_interval(prof, log_t)
+        return _inverse_cdf_radius(r_lo, r_hi, _open_uniform(rng), beta)
 
-    return level, radius, log_sup
+    return level, radius, prof.log_sup
 
 
 def _chain_meta(chain: str, target: RadialTarget, fac: RadialFactorization,
@@ -201,35 +200,26 @@ def _chain_meta(chain: str, target: RadialTarget, fac: RadialFactorization,
 
 def run_x_chain(target: RadialTarget, fac: RadialFactorization,
                 n: int, init_radius: float, seed: int,
-                summary: Optional[Callable] = None,
                 full_vector: bool = False) -> Trace:
     """Alternate level and set updates for ``n`` steps; length-(n+1) trace.
 
-    The default summary is the radius itself, i.e. ``g(x) = ||x||``.  The
-    uniform variates and the direction draws (full-vector mode) come from
-    separate seeded streams, so the radius sequence is identical in both
-    modes under the same seed.
+    Records the radius ``||x||``.  In full-vector mode each state is
+    ``x = r * direction`` with the direction drawn from a separate seeded
+    stream, and the trace holds the computed ``||x||``; the radius sequence
+    is identical in both modes under the same seed.
     """
     level, radius, _ = _half_steps(target, fac, n, make_rng(seed, 0))
     if not (0.0 < init_radius < target.kappa):
         raise DomainError(f"init_radius={init_radius} outside (0, kappa)")
 
-    if summary is None:
-        g = (lambda x: float(np.linalg.norm(x))) if full_vector else (lambda r: r)
-    else:
-        g = summary
+    values = np.empty(n + 1)
+    r = values[0] = float(init_radius)
+    for i in range(1, n + 1):
+        r = values[i] = radius(level(r))
     if full_vector:
         rng_dir = make_rng(seed, 1)
-        value = lambda r: g(r * sample_direction(target.dim, rng_dir))
-    else:
-        value = g
-
-    values = np.empty(n + 1)
-    r = float(init_radius)
-    values[0] = value(r)
-    for i in range(1, n + 1):
-        r = radius(level(r))
-        values[i] = value(r)
+        values = np.array([np.linalg.norm(r * sample_direction(target.dim, rng_dir))
+                           for r in values])
     meta = _chain_meta("x", target, fac, n, init_radius=init_radius,
                        full_vector=full_vector)
     return Trace(values=values, seed=seed, meta=meta)
@@ -259,21 +249,19 @@ def run_t_chain(target: RadialTarget, fac: RadialFactorization,
 def x_step_radii(target: RadialTarget, fac: RadialFactorization,
                  radii: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One full slice step applied independently to an array of radii."""
+    prof = slice_profile(target, fac)
     radii = np.asarray(radii, dtype=float)
-    lh = log_h(target, fac, radii)
-    log_t = lh + np.log(_open_uniforms(rng, radii.shape))
-    u = rng.random(radii.shape)
-    return x_update_radius(target, fac, log_t, u)
+    log_t = log_h(target, fac, radii) + np.log(_open_uniforms(rng, radii.shape))
+    return x_update_radius(prof, log_t, _open_uniforms(rng, radii.shape))
 
 
 def t_step_levels(target: RadialTarget, fac: RadialFactorization,
                   log_t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One auxiliary-chain step applied independently to an array of levels."""
+    prof = slice_profile(target, fac)
     log_t = np.asarray(log_t, dtype=float)
-    u = rng.random(log_t.shape)
-    r = x_update_radius(target, fac, log_t, u)
-    lh = log_h(target, fac, r)
-    return lh + np.log(_open_uniforms(rng, log_t.shape))
+    r = x_update_radius(prof, log_t, _open_uniforms(rng, log_t.shape))
+    return log_h(target, fac, r) + np.log(_open_uniforms(rng, log_t.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +291,9 @@ class RadialStationarySampler(_GridInverseCdf):
     """
 
     def __init__(self, target: RadialTarget):
-        fac_rad = RadialFactorization(float(target.dim - 1))
-        r_mode = mode_radius(target, fac_rad)
-        log_sup = log_h_sup(target, fac_rad, r_mode)
-        iv = level_interval(target, fac_rad, log_sup - _RADIAL_TAIL_DEPTH,
-                            r_mode=r_mode, log_sup=log_sup)
-        grid = np.linspace(iv.r_lo, iv.r_hi, _ORACLE_CELLS + 1)
+        prof = slice_profile(target, RadialFactorization(float(target.dim - 1)))
+        r_lo, r_hi = level_interval(prof, prof.log_sup - _RADIAL_TAIL_DEPTH)
+        grid = np.linspace(r_lo, r_hi, _ORACLE_CELLS + 1)
         logpdf = np.full(grid.shape, -math.inf)
         pos = grid > 0.0
         logpdf[pos] = (target.dim - 1) * np.log(grid[pos]) - target.phi_vec(grid[pos])

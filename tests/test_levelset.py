@@ -17,11 +17,12 @@ from slicegap.levelset import (
     canonical_potential,
     default_probe,
     lambda_k_check,
+    SliceProfile,
     level_bounds,
     level_interval,
     level_set_function,
-    log_h_sup,
     mode_radius,
+    slice_profile,
 )
 from slicegap.samplers import run_t_chain
 from slicegap.targets import (
@@ -61,28 +62,28 @@ class TestModeRadius:
 
 class TestLevelInterval:
     def test_uss_exponential(self):
-        iv = level_interval(exponential(2), USS(), -2.0)
-        assert iv.r_lo == 0.0
-        assert iv.r_hi == pytest.approx(2.0, rel=1e-10)
+        r_lo, r_hi = level_interval(slice_profile(exponential(2), USS()), -2.0)
+        assert r_lo == 0.0
+        assert r_hi == pytest.approx(2.0, rel=1e-10)
 
     def test_uss_volcano(self):
-        iv = level_interval(volcano(2, 2.0), USS(), -1.0)
-        assert iv.r_lo == pytest.approx(1.0, rel=1e-10)
-        assert iv.r_hi == pytest.approx(3.0, rel=1e-10)
+        r_lo, r_hi = level_interval(slice_profile(volcano(2, 2.0), USS()), -1.0)
+        assert r_lo == pytest.approx(1.0, rel=1e-10)
+        assert r_hi == pytest.approx(3.0, rel=1e-10)
 
     def test_pss_exponential_two_branches(self):
         # r^2 e^{-r} = 4 e^{-3}: roots frozen from an independent solver
-        iv = level_interval(exponential(3), PSS(3), math.log(4.0) - 3.0)
-        assert iv.r_lo == pytest.approx(0.603419125368672, rel=1e-10)
-        assert iv.r_hi == pytest.approx(4.715353347891798, rel=1e-10)
+        r_lo, r_hi = level_interval(slice_profile(exponential(3), PSS(3)),
+                                    math.log(4.0) - 3.0)
+        assert r_lo == pytest.approx(0.603419125368672, rel=1e-10)
+        assert r_hi == pytest.approx(4.715353347891798, rel=1e-10)
 
     def test_empty_level(self):
-        target = exponential(3)
-        sup = log_h_sup(target, PSS(3))
+        prof = slice_profile(exponential(3), PSS(3))
         with pytest.raises(EmptyLevelError):
-            level_interval(target, PSS(3), sup)
+            level_interval(prof, prof.log_sup)
         with pytest.raises(EmptyLevelError):
-            level_interval(target, PSS(3), sup + 1.0)
+            level_interval(prof, prof.log_sup + 1.0)
 
     def test_round_trip(self):
         # both endpoints must return to the queried level
@@ -90,39 +91,38 @@ class TestLevelInterval:
                             (volcano(4, 2.0), PSS(4)),
                             (gaussian(10), PSS(10)),
                             (volcano(3, 2.0), USS())]:
-            sup = log_h_sup(target, fac)
+            prof = slice_profile(target, fac)
             for depth in (0.5, 3.0, 12.0):
-                log_t = sup - depth
-                iv = level_interval(target, fac, log_t)
-                assert log_h(target, fac, iv.r_hi) == pytest.approx(log_t, abs=1e-10)
-                if iv.r_lo > 0.0:
-                    assert log_h(target, fac, iv.r_lo) == pytest.approx(log_t, abs=1e-10)
+                log_t = prof.log_sup - depth
+                r_lo, r_hi = level_interval(prof, log_t)
+                assert log_h(target, fac, r_hi) == pytest.approx(log_t, abs=1e-10)
+                if r_lo > 0.0:
+                    assert log_h(target, fac, r_lo) == pytest.approx(log_t, abs=1e-10)
 
     def test_unreachable_level_raises(self):
         # a flat profile never climbs to the level, so the anchor search
         # toward r = 0 must stop with a named error instead of halving on
         flat = RadialTarget(phi=lambda r: 0.0 * r, dphi=lambda r: 0.0 * r, tag="flat")
+        prof = SliceProfile(flat, alpha=0.0, r_mode=0.0, log_sup=math.inf)
         with pytest.raises(NoRootError):
-            level_interval(flat, USS(), 1.0, r_mode=0.0, log_sup=math.inf)
+            level_interval(prof, 1.0)
         with pytest.raises(NoRootError):
-            level_bounds(flat, USS(), np.array([-1.0, 1.0]), r_mode=0.0,
-                         log_sup=math.inf)
+            level_bounds(prof, np.array([-1.0, 1.0]))
 
     def test_vectorized_matches_scalar(self):
-        target = gaussian(6)
-        fac = PSS(6)
-        sup = log_h_sup(target, fac)
-        lts = sup - np.array([0.3, 1.0, 5.0, 20.0])
-        lo, hi = level_bounds(target, fac, lts)
+        prof = slice_profile(gaussian(6), PSS(6))
+        lts = prof.log_sup - np.array([0.3, 1.0, 5.0, 20.0])
+        lo, hi = level_bounds(prof, lts)
         for i, lt in enumerate(lts):
-            iv = level_interval(target, fac, float(lt))
-            assert lo[i] == pytest.approx(iv.r_lo, rel=1e-10, abs=1e-12)
-            assert hi[i] == pytest.approx(iv.r_hi, rel=1e-10)
+            r_lo, r_hi = level_interval(prof, float(lt))
+            assert lo[i] == pytest.approx(r_lo, rel=1e-10, abs=1e-12)
+            assert hi[i] == pytest.approx(r_hi, rel=1e-10)
 
 
-def _mode_and_sup(target, fac):
-    r_mode = mode_radius(target, fac)
-    return r_mode, log_h_sup(target, fac, r_mode)
+def _stub_profile(target, base, fac):
+    """The profile of ``target`` with the mode and supremum solved on ``base``."""
+    prof = slice_profile(base, fac)
+    return SliceProfile(target, fac.alpha, prof.r_mode, prof.log_sup)
 
 
 class TestVectorizedSolver:
@@ -134,14 +134,13 @@ class TestVectorizedSolver:
     def test_vectorized_matches_scalar_property(self, tag, sampler, d, depth):
         target = make_builtin(tag, d)
         fac = PSS(d) if sampler == "pss" else USS()
-        r_mode, sup = _mode_and_sup(target, fac)
-        log_t = (sup if math.isfinite(sup) else 0.0) - depth
-        iv = level_interval(target, fac, log_t, r_mode=r_mode, log_sup=sup)
-        lo, hi = level_bounds(target, fac, np.array([log_t]), r_mode=r_mode,
-                              log_sup=sup)
+        prof = slice_profile(target, fac)
+        log_t = (prof.log_sup if math.isfinite(prof.log_sup) else 0.0) - depth
+        r_lo, r_hi = level_interval(prof, log_t)
+        lo, hi = level_bounds(prof, np.array([log_t]))
         # both forms take the same Newton steps in log r
-        assert lo[0] == pytest.approx(iv.r_lo, rel=1e-12, abs=0)
-        assert hi[0] == pytest.approx(iv.r_hi, rel=1e-12, abs=0)
+        assert lo[0] == pytest.approx(r_lo, rel=1e-12, abs=0)
+        assert hi[0] == pytest.approx(r_hi, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("d", [2, 5, 10])
     def test_exponential_pss_matches_lambert_w(self, d):
@@ -150,15 +149,14 @@ class TestVectorizedSolver:
         # root 40 below the supremum is 1.5628821893349888e-18 (a stop width
         # of 1e-13 absolute gave 2.8e-14), and those at 150 and 300 below it,
         # 2.6e-66 and 1.9e-131, lie beyond 200 halvings of r_mode / 2
-        target, fac = exponential(d), PSS(d)
-        r_mode, sup = _mode_and_sup(target, fac)
-        lts = sup - np.concatenate([np.linspace(0.5, 450.0, 400), [40.0, 150.0, 300.0]])
+        prof = slice_profile(exponential(d), PSS(d))
+        lts = prof.log_sup - np.concatenate([np.linspace(0.5, 450.0, 400), [40.0, 150.0, 300.0]])
         a = d - 1.0
         z = -np.exp(lts / a) / a
         lo_ref, hi_ref = -a * lambertw(z, 0).real, -a * lambertw(z, -1).real
-        lo, hi = level_bounds(target, fac, lts, r_mode=r_mode, log_sup=sup)
-        ivs = [level_interval(target, fac, float(lt), r_mode, sup) for lt in lts]
-        for got_lo, got_hi in ((lo, hi), ([iv.r_lo for iv in ivs], [iv.r_hi for iv in ivs])):
+        lo, hi = level_bounds(prof, lts)
+        ivs = [level_interval(prof, float(lt)) for lt in lts]
+        for got_lo, got_hi in ((lo, hi), tuple(zip(*ivs))):
             np.testing.assert_allclose(got_lo, lo_ref, rtol=1e-13, atol=0)
             np.testing.assert_allclose(got_hi, hi_ref, rtol=1e-13, atol=0)
 
@@ -166,7 +164,6 @@ class TestVectorizedSolver:
         # a fixed 110-step bisection per branch costs 228 phi evaluations
         # per level; the Newton solve needs about 27 phi + dphi evaluations
         base, fac = exponential(5), PSS(5)
-        r_mode, sup = _mode_and_sup(base, fac)
         count = [0]
 
         def counted(fn):
@@ -176,29 +173,30 @@ class TestVectorizedSolver:
             return wrapped
 
         target = RadialTarget(phi=counted(base.phi), dphi=counted(base.dphi), dim=5)
-        lts = sup - np.linspace(0.5, 8.0, 10_000)
-        level_bounds(target, fac, lts, r_mode=r_mode, log_sup=sup)
+        prof = _stub_profile(target, base, fac)
+        lts = prof.log_sup - np.linspace(0.5, 8.0, 10_000)
+        level_bounds(prof, lts)
         assert count[0] / lts.size <= 40
 
     def test_nan_derivative_converges_by_bisection(self):
         base, fac = gaussian(4), PSS(4)
-        r_mode, sup = _mode_and_sup(base, fac)
         stub = RadialTarget(phi=base.phi, dphi=lambda r: np.full(np.shape(r), np.nan),
                             dim=4)
-        lts = sup - np.array([1e-3, 0.5, 5.0, 40.0])
-        lo, hi = level_bounds(stub, fac, lts, r_mode=r_mode, log_sup=sup)
-        lo_ref, hi_ref = level_bounds(base, fac, lts, r_mode=r_mode, log_sup=sup)
+        prof = _stub_profile(stub, base, fac)
+        lts = prof.log_sup - np.array([1e-3, 0.5, 5.0, 40.0])
+        lo, hi = level_bounds(prof, lts)
+        lo_ref, hi_ref = level_bounds(slice_profile(base, fac), lts)
         np.testing.assert_allclose(lo, lo_ref, rtol=1e-12)
         np.testing.assert_allclose(hi, hi_ref, rtol=1e-12)
 
     def _check_against_scalar(self, target, fac, depths):
-        r_mode, sup = _mode_and_sup(target, fac)
-        lts = sup - np.asarray(depths)
-        lo, hi = level_bounds(target, fac, lts, r_mode=r_mode, log_sup=sup)
+        prof = slice_profile(target, fac)
+        lts = prof.log_sup - np.asarray(depths)
+        lo, hi = level_bounds(prof, lts)
         for i, lt in enumerate(lts):
-            iv = level_interval(target, fac, float(lt), r_mode=r_mode, log_sup=sup)
-            assert lo[i] == pytest.approx(iv.r_lo, rel=1e-12, abs=1e-13)
-            assert hi[i] == pytest.approx(iv.r_hi, rel=1e-12, abs=1e-13)
+            r_lo, r_hi = level_interval(prof, float(lt))
+            assert lo[i] == pytest.approx(r_lo, rel=1e-12, abs=1e-13)
+            assert hi[i] == pytest.approx(r_hi, rel=1e-12, abs=1e-13)
 
     def test_finite_difference_derivative(self):
         # without dphi the central difference must run on arrays, silently
@@ -226,14 +224,13 @@ class TestScalarSolver:
             2.0 / 3.0, rel=0, abs=1e-12)
 
     def test_finite_cutoff_scalar_matches_vectorized(self):
-        target = _unit_ball_barrier()
-        sup = log_h_sup(target, PSS(3))
-        lts = sup - np.geomspace(1e-4, 25.0, 50)
-        lo, hi = level_bounds(target, PSS(3), lts)
+        prof = slice_profile(_unit_ball_barrier(), PSS(3))
+        lts = prof.log_sup - np.geomspace(1e-4, 25.0, 50)
+        lo, hi = level_bounds(prof, lts)
         for i, lt in enumerate(lts):
-            iv = level_interval(target, PSS(3), float(lt))
-            assert iv.r_lo == pytest.approx(lo[i], rel=0, abs=1e-12)
-            assert iv.r_hi == pytest.approx(hi[i], rel=0, abs=1e-12)
+            r_lo, r_hi = level_interval(prof, float(lt))
+            assert r_lo == pytest.approx(lo[i], rel=0, abs=1e-12)
+            assert r_hi == pytest.approx(hi[i], rel=0, abs=1e-12)
 
     def test_evaluation_budget_on_sweep_levels(self):
         # 301 levels of a T chain in each desk sweep cell: the bisection to
@@ -251,12 +248,12 @@ class TestScalarSolver:
         for d in DESK_DIMS:
             for fac in (PSS(d), USS()):
                 base = exponential(d)
-                r_mode, sup = _mode_and_sup(base, fac)
-                lts = run_t_chain(base, fac, 300, sup - 1.0, seed=d).values
                 target = RadialTarget(phi=counted(base.phi), dphi=counted(base.dphi),
                                       dim=d)
+                prof = _stub_profile(target, base, fac)
+                lts = run_t_chain(base, fac, 300, prof.log_sup - 1.0, seed=d).values
                 for lt in lts:
-                    level_interval(target, fac, float(lt), r_mode, sup)
+                    level_interval(prof, float(lt))
                 levels += lts.size
         assert count[0] / levels <= 24
 
@@ -268,29 +265,30 @@ class TestScalarSolver:
         # a NaN g', or g' = 0 exactly (alpha = 0 and dphi = 0), has no
         # Newton step: every step must bisect, on both branches (the volcano
         # profile at r = 0 lies 4 below its supremum)
-        r_mode, sup = _mode_and_sup(base, fac)
         stub = RadialTarget(phi=base.phi, dphi=dphi, dim=base.dim)
+        prof = _stub_profile(stub, base, fac)
         for depth in (1e-3, 0.5, 2.0, 3.5):
-            got = level_interval(stub, fac, sup - depth, r_mode, sup)
-            want = level_interval(base, fac, sup - depth, r_mode, sup)
-            assert got.r_lo > 0.0
-            assert got.r_lo == pytest.approx(want.r_lo, rel=1e-12, abs=0)
-            assert got.r_hi == pytest.approx(want.r_hi, rel=1e-12, abs=0)
+            lo, hi = level_interval(prof, prof.log_sup - depth)
+            want_lo, want_hi = level_interval(slice_profile(base, fac), prof.log_sup - depth)
+            assert lo > 0.0
+            assert lo == pytest.approx(want_lo, rel=1e-12, abs=0)
+            assert hi == pytest.approx(want_hi, rel=1e-12, abs=0)
 
     def test_finite_difference_stays_inside_support(self):
         # without dphi, a fixed 1e-6 central-difference step would evaluate
         # a scalar-only phi outside (0, kappa) near either end of a level
-        barrier = RadialTarget(phi=lambda r: -math.log(1.0 - r), kappa=1.0, dim=2)
-        iv = level_interval(barrier, USS(), -20.0)
-        assert iv.r_hi == pytest.approx(-math.expm1(-20.0), rel=1e-12, abs=0)
+        barrier = slice_profile(
+            RadialTarget(phi=lambda r: -math.log(1.0 - r), kappa=1.0, dim=2), USS())
+        _, r_hi = level_interval(barrier, -20.0)
+        assert r_hi == pytest.approx(-math.expm1(-20.0), rel=1e-12, abs=0)
         with pytest.warns(RuntimeWarning, match="element by element"):
-            _, hi = level_bounds(barrier, USS(), np.array([-20.0]))
+            _, hi = level_bounds(barrier, np.array([-20.0]))
         assert hi[0] == pytest.approx(-math.expm1(-20.0), rel=1e-12, abs=0)
         # 2 log r - r^2/2 at 40 below its supremum: root from mpmath
-        quadratic = RadialTarget(phi=lambda r: 0.5 * math.exp(2.0 * math.log(r)), dim=3)
-        sup = log_h_sup(quadratic, PSS(3))
-        iv = level_interval(quadratic, PSS(3), sup - 40.0)
-        assert iv.r_lo == pytest.approx(1.767983138683731e-09, rel=1e-12, abs=0)
+        quadratic = slice_profile(
+            RadialTarget(phi=lambda r: 0.5 * math.exp(2.0 * math.log(r)), dim=3), PSS(3))
+        r_lo, _ = level_interval(quadratic, quadratic.log_sup - 40.0)
+        assert r_lo == pytest.approx(1.767983138683731e-09, rel=1e-12, abs=0)
 
     def test_bisection_is_capped(self):
         # f never reaches the level: shrinking [1e-300, 1e300] to a 1e-13

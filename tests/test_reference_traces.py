@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slicegap.levelset import level_interval, level_set_function, log_h_sup, mode_radius
+from slicegap.levelset import level_interval, level_set_function, log_h_sup, slice_profile
 from slicegap.samplers import (
     PiTildeSampler,
     RadialStationarySampler,
@@ -60,10 +60,9 @@ def _t_step_levels_gaussian_pss_5():
 
 def _scalar_solver(target, fac):
     """Mode, log supremum, then ``r_lo`` and ``r_hi`` at each depth below it."""
-    r_mode = mode_radius(target, fac)
-    sup = log_h_sup(target, fac, r_mode)
-    ivs = [level_interval(target, fac, sup - depth, r_mode, sup) for depth in DEPTHS]
-    return [r_mode, sup] + [iv.r_lo for iv in ivs] + [iv.r_hi for iv in ivs]
+    prof = slice_profile(target, fac)
+    r_lo, r_hi = zip(*(level_interval(prof, prof.log_sup - depth) for depth in DEPTHS))
+    return [prof.r_mode, prof.log_sup, *r_lo, *r_hi]
 
 
 CASES = {

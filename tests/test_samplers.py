@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 
 from slicegap import samplers
 from slicegap.errors import DomainError
-from slicegap.levelset import level_interval, level_set_function, log_h_sup, mode_radius
+from slicegap import levelset
+from slicegap.levelset import level_interval, level_set_function, log_h_sup, slice_profile
 from slicegap.samplers import (
     PiTildeSampler,
     RadialStationarySampler,
@@ -62,32 +63,26 @@ class TestXUpdateRadius:
     def test_pss_uniform_midpoint(self):
         # interval [1, 3] of the volcano USS level at log_t = -1; with
         # beta = 1 the draw is the uniform midpoint
-        target = volcano(1, 2.0)
-        r = x_update_radius(target, USS(), -1.0, 0.5)
+        r = x_update_radius(slice_profile(volcano(1, 2.0), USS()), -1.0, 0.5)
         assert r == pytest.approx(2.0, rel=1e-10)
 
     def test_uss_disc_inverse_cdf(self):
         # d=2 USS on Exponential at log_t=-2: interval [0,2], F(r) = r^2/4
-        r = x_update_radius(exponential(2), USS(), -2.0, 0.25)
+        r = x_update_radius(slice_profile(exponential(2), USS()), -2.0, 0.25)
         assert r == pytest.approx(1.0, rel=1e-10)
 
     def test_log_domain_matches_direct_power_formula(self):
         # at d=3 the naive power-formula inverse CDF is exact; shared inputs
-        target = exponential(3)
-        fac = USS()
-        sup = log_h_sup(target, fac)
+        prof = slice_profile(exponential(3), USS())
+        sup = prof.log_sup
         for log_t, u in [(sup - 0.5, 0.1), (sup - 4.0, 0.5), (sup - 9.0, 0.93)]:
-            iv = level_interval(target, fac, log_t)
-            direct = (iv.r_lo ** 3 + u * (iv.r_hi ** 3 - iv.r_lo ** 3)) ** (1 / 3)
-            assert x_update_radius(target, fac, log_t, u) == pytest.approx(
-                direct, rel=1e-12)
+            r_lo, r_hi = level_interval(prof, log_t)
+            direct = (r_lo ** 3 + u * (r_hi ** 3 - r_lo ** 3)) ** (1 / 3)
+            assert x_update_radius(prof, log_t, u) == pytest.approx(direct, rel=1e-12)
 
     def test_large_dimension_finite(self):
-        d = 1000
-        target = exponential(d)
-        fac = USS()
-        sup = log_h_sup(target, fac)
-        r = x_update_radius(target, fac, sup - 5.0, 0.5)
+        prof = slice_profile(exponential(1000), USS())
+        r = x_update_radius(prof, prof.log_sup - 5.0, 0.5)
         assert 0.0 < r < 5.0 and math.isfinite(r)
 
     def test_vectorized_agrees_with_scalar(self):
@@ -96,13 +91,13 @@ class TestXUpdateRadius:
         target = gaussian(5)
         us = np.array([0.2, 0.5, 0.9])
         for fac in (PSS(5), USS()):
-            sup = log_h_sup(target, fac)
-            log_ts = sup - np.array([0.4, 2.0, 7.5])
-            vec = x_update_radius(target, fac, log_ts, us)
+            prof = slice_profile(target, fac)
+            log_ts = prof.log_sup - np.array([0.4, 2.0, 7.5])
+            vec = x_update_radius(prof, log_ts, us)
             for i in range(3):
-                iv = level_interval(target, fac, float(log_ts[i]))
+                r_lo, r_hi = level_interval(prof, float(log_ts[i]))
                 assert vec[i] == pytest.approx(samplers._inverse_cdf_radius(
-                    iv.r_lo, iv.r_hi, float(us[i]), 5.0 - fac.alpha), rel=1e-12)
+                    r_lo, r_hi, float(us[i]), 5.0 - fac.alpha), rel=1e-12)
 
     @pytest.mark.parametrize("r_lo, r_hi, u, beta, want", [
         (1.0, 3.0, 0.5, 1.0, 2.0),                   # uniform midpoint
@@ -180,12 +175,13 @@ class TestXChain:
         # after each full step the new radius lies inside the drawn level set
         target = volcano(5, 2.0)
         fac = PSS(5)
+        prof = slice_profile(target, fac)
         rng = make_rng(3)
         r = 2.0
         for _ in range(300):
             lh = log_h(target, fac, r)
             log_t = t_update(lh, float(rng.uniform(1e-12, 1 - 1e-12)))
-            r = x_update_radius(target, fac, log_t, float(rng.random()))
+            r = x_update_radius(prof, log_t, float(rng.random()))
             assert log_h(target, fac, r) > log_t - 1e-9
 
 
@@ -283,3 +279,69 @@ class TestBoundedRedraws:
     def test_sample_direction_gives_up(self):
         with pytest.raises(DomainError, match="norm"):
             sample_direction(3, ZeroStream())
+
+
+class OneZeroStream:
+    """A random stream whose uniform draw number ``at`` holds one exact 0."""
+
+    def __init__(self, at: int, seed: int = 0):
+        self.rng = make_rng(seed)
+        self.at = at
+        self.calls = 0
+
+    def random(self, size=None):
+        u = self.rng.random(size)
+        self.calls += 1
+        if self.calls - 1 != self.at:
+            return u
+        if size is None:
+            return 0.0
+        u.flat[0] = 0.0
+        return u
+
+
+class TestSetDrawNeverZero:
+    # a set uniform of exactly 0 gives r = r_lo, which is 0 (outside the
+    # support) whenever the level reaches down to the origin
+    def test_one_step_maps(self):
+        target, fac = exponential(3), USS()
+        r = x_step_radii(target, fac, np.array([1.0, 2.0]), OneZeroStream(at=1))
+        assert np.all(r > 0.0)
+        prof = slice_profile(target, fac)
+        levels = prof.log_sup - np.array([1.0, 2.0])
+        assert np.all(np.isfinite(t_step_levels(target, fac, levels, OneZeroStream(at=0))))
+
+    def test_scalar_half_step(self):
+        level, radius, _ = samplers._half_steps(exponential(3), USS(), 1,
+                                                OneZeroStream(at=0))
+        r = radius(-2.0)
+        assert r > 0.0
+        assert math.isfinite(level(r))
+
+
+class TestProfileSolvedOnce:
+    def test_one_mode_solve_per_entry_point(self, monkeypatch):
+        calls = [0]
+        solve = levelset.mode_radius
+
+        def counted(target, fac):
+            calls[0] += 1
+            return solve(target, fac)
+
+        monkeypatch.setattr(levelset, "mode_radius", counted)
+        target, fac = exponential(3), PSS(3)
+        prof = slice_profile(target, fac)
+        levels = prof.log_sup - np.array([0.5, 2.0, 9.0])
+        rng = make_rng(1)
+        for run in (lambda: run_x_chain(target, fac, 20, 1.0, seed=1),
+                    lambda: run_t_chain(target, fac, 20, float(levels[0]), seed=1),
+                    lambda: level_set_function(target, fac).log(levels),
+                    lambda: x_step_radii(target, fac, np.array([0.5, 2.0, 4.0]), rng),
+                    lambda: t_step_levels(target, fac, levels, rng)):
+            calls[0] = 0
+            run()
+            assert calls[0] == 1
+        calls[0] = 0
+        level_interval(prof, float(levels[1]))
+        levelset.level_bounds(prof, levels)
+        assert calls[0] == 0

@@ -147,7 +147,8 @@ class TestBuiltins:
 
     def test_validate_finite_cutoff(self):
         good = RadialTarget(phi=lambda r: -math.log(1.0 - r), kappa=1.0, dim=2)
-        validate_target(good)
+        with pytest.warns(RuntimeWarning, match="element by element"):
+            validate_target(good)
         bad = RadialTarget(phi=lambda r: r, kappa=1.0, dim=2)
         with pytest.raises(DomainError):
             validate_target(bad)
@@ -173,7 +174,8 @@ class TestConstruction:
 
     def test_phi_vec_scalar_only_callable(self):
         target = RadialTarget(phi=lambda r: float(r) + 1.0, dim=2)
-        out = target.phi_vec(np.array([1.0, 2.0]))
+        with pytest.warns(RuntimeWarning, match="element by element"):
+            out = target.phi_vec(np.array([1.0, 2.0]))
         assert np.allclose(out, [2.0, 3.0])
 
     def test_dphi_vec_scalar_fallback_warns(self):
