@@ -293,7 +293,7 @@ def _kernel_mc_check(seed: int) -> list:
     out = []
     for s0 in probes:
         p_quad = kernelmod.transition_cdf(ell, float(s0), float(s0))
-        s1 = t_step_levels(target, fac, np.full(_KERNEL_MC_DRAWS, s0), rng)
+        s1 = t_step_levels(target, fac, float(s0), rng, size=_KERNEL_MC_DRAWS)
         p_mc = float(np.mean(s1 < s0))
         tol = 3.0 * math.sqrt(max(p_quad * (1 - p_quad), 1e-12) / _KERNEL_MC_DRAWS) + 1e-4
         out.append({

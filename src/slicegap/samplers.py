@@ -11,8 +11,11 @@ Every entry point solves the slice profile once
 (:func:`~slicegap.levelset.slice_profile`) and takes all of its level
 intervals from it.  Both chains are built from one pair of these
 half-steps; they and the one-step maps draw every uniform from the open
-interval (0, 1).  The two stationary oracles share one grid inverse CDF,
-and every redraw loop is capped.
+interval (0, 1).  The set draw broadcasts its levels against its
+uniforms and ``t_step_levels`` takes numpy's ``size``; both solve level
+intervals only on the levels given, so many draws from one level cost one
+root solve.  The two stationary oracles share one grid inverse CDF, and
+every redraw loop is capped.
 """
 
 from __future__ import annotations
@@ -106,12 +109,24 @@ def _open_uniforms(rng: np.random.Generator, size) -> np.ndarray:
     raise DomainError(f"random stream returned 0.0 {_MAX_REDRAWS} times in a row")
 
 
+def _open_unit(u) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if np.any(u <= 0.0) or np.any(u >= 1.0):
+        raise DomainError("u must lie strictly inside (0, 1)")
+    return u
+
+
+def _broadcast_shape(*shapes) -> tuple:
+    """Numpy's broadcast of ``shapes``; a DomainError if there is none."""
+    try:
+        return np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise DomainError(f"shapes {shapes} do not broadcast") from None
+
+
 def t_update(log_h_x, u):
     """Log level of a uniform draw on (0, h(x)): ``log h(x) + log u``."""
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
-        raise DomainError("u must lie strictly inside (0, 1)")
-    out = np.asarray(log_h_x, dtype=float) + np.log(u_arr)
+    out = np.asarray(log_h_x, dtype=float) + np.log(_open_unit(u))
     if np.ndim(u) == 0 and np.ndim(log_h_x) == 0:
         return float(out)
     return out
@@ -122,13 +137,19 @@ def x_update_radius(prof: SliceProfile, log_t, u):
 
     For PSS (``alpha = d-1``) this is uniform on the interval; otherwise the
     power-law inverse CDF is evaluated in log domain so that large
-    dimensions never overflow.  Scalar inputs give a float.
+    dimensions never overflow.  ``log_t`` and ``u`` broadcast against each
+    other by numpy rules, and the level intervals are solved only on the
+    elements of ``log_t``: a scalar level with an array of ``N`` uniforms
+    costs one root solve.  The result has the broadcast shape; two scalars
+    give a float.  ``u`` must lie strictly inside (0, 1).
     """
-    r_lo, r_hi = level_bounds(prof, log_t)
-    u_arr = np.broadcast_to(np.asarray(u, dtype=float), np.shape(log_t)).ravel()
-    out = _inverse_cdf_radius_vec(r_lo, r_hi, u_arr, prof.target.dim - prof.alpha)
-    if np.ndim(log_t) == 0 and np.ndim(u) == 0:
-        return float(out[0])
+    u = _open_unit(u)
+    log_t = np.asarray(log_t, dtype=float)
+    _broadcast_shape(log_t.shape, u.shape)  # fail before the solve, not after
+    r_lo, r_hi = (r.reshape(log_t.shape) for r in level_bounds(prof, log_t))
+    out = _inverse_cdf_radius_vec(r_lo, r_hi, u, prof.target.dim - prof.alpha)
+    if out.ndim == 0:
+        return float(out)
     return out
 
 
@@ -256,12 +277,24 @@ def x_step_radii(target: RadialTarget, fac: RadialFactorization,
 
 
 def t_step_levels(target: RadialTarget, fac: RadialFactorization,
-                  log_t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One auxiliary-chain step applied independently to an array of levels."""
+                  log_t: np.ndarray, rng: np.random.Generator,
+                  size=None) -> np.ndarray:
+    """Independent auxiliary-chain steps from the levels ``log_t``.
+
+    ``size`` is the output shape, as in numpy's samplers, and ``log_t``
+    must broadcast to it; by default there is one step per element of
+    ``log_t``.  ``N`` steps from one level ``s0`` are
+    ``t_step_levels(target, fac, s0, rng, size=N)``, which solves that
+    level's interval once.
+    """
     prof = slice_profile(target, fac)
     log_t = np.asarray(log_t, dtype=float)
-    r = x_update_radius(prof, log_t, _open_uniforms(rng, log_t.shape))
-    return log_h(target, fac, r) + np.log(_open_uniforms(rng, log_t.shape))
+    shape = log_t.shape if size is None else _broadcast_shape(size)
+    if _broadcast_shape(log_t.shape, shape) != shape:
+        raise DomainError(f"log_t of shape {log_t.shape} does not broadcast "
+                          f"to size {shape}")
+    r = x_update_radius(prof, log_t, _open_uniforms(rng, shape))
+    return log_h(target, fac, r) + np.log(_open_uniforms(rng, shape))
 
 
 # ---------------------------------------------------------------------------

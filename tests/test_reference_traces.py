@@ -38,6 +38,7 @@ PSS = RadialFactorization.pss
 USS = RadialFactorization.uss
 STEPS = 200
 DRAWS = 64
+REPEATS = 256
 DEPTHS = np.geomspace(1e-6, 100.0, 16)
 
 
@@ -58,6 +59,14 @@ def _t_step_levels_gaussian_pss_5():
     return t_step_levels(target, PSS(5), levels, make_rng(606))
 
 
+def _t_step_levels_one_level(target, fac, seed):
+    """``REPEATS`` steps from the one level three below the log supremum.
+
+    Saved from ``REPEATS`` copies of the level, one step per copy."""
+    s0 = log_h_sup(target, fac) - 3.0
+    return t_step_levels(target, fac, s0, make_rng(seed), size=REPEATS)
+
+
 def _scalar_solver(target, fac):
     """Mode, log supremum, then ``r_lo`` and ``r_hi`` at each depth below it."""
     prof = slice_profile(target, fac)
@@ -76,6 +85,10 @@ CASES = {
     "run_t_chain/gaussian/pss/d=3": _t_chain_gaussian_pss_3,
     "x_step_radii/exponential/uss/d=5": _x_step_radii_exponential_uss_5,
     "t_step_levels/gaussian/pss/d=5": _t_step_levels_gaussian_pss_5,
+    "t_step_levels/exponential/pss/d=5/one_level":
+        lambda: _t_step_levels_one_level(exponential(5), PSS(5), 909),
+    "t_step_levels/gaussian/uss/d=5/one_level":
+        lambda: _t_step_levels_one_level(gaussian(5), USS(), 1010),
     "RadialStationarySampler/exponential/d=3":
         lambda: RadialStationarySampler(exponential(3)).sample(make_rng(707), DRAWS),
     "PiTildeSampler/exponential/pss/d=3":

@@ -8,7 +8,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, strategies as st
 
-from slicegap import samplers
+from slicegap import harness, samplers
 from slicegap.errors import DomainError
 from slicegap import levelset
 from slicegap.levelset import level_interval, level_set_function, log_h_sup, slice_profile
@@ -98,6 +98,14 @@ class TestXUpdateRadius:
                 r_lo, r_hi = level_interval(prof, float(log_ts[i]))
                 assert vec[i] == pytest.approx(samplers._inverse_cdf_radius(
                     r_lo, r_hi, float(us[i]), 5.0 - fac.alpha), rel=1e-12)
+
+    def test_rejects_uniforms_outside_open_interval(self):
+        # level interval [0, 2]: u = 0 gave r = 0, outside the support, and
+        # u = 1.5 gave 2.289, beyond r_hi
+        prof = slice_profile(exponential(3), USS())
+        for u in (0.0, 1.5, np.array([0.5, 1.0])):
+            with pytest.raises(DomainError, match="strictly inside"):
+                x_update_radius(prof, -2.0, u)
 
     @pytest.mark.parametrize("r_lo, r_hi, u, beta, want", [
         (1.0, 3.0, 0.5, 1.0, 2.0),                   # uniform midpoint
@@ -345,3 +353,98 @@ class TestProfileSolvedOnce:
         level_interval(prof, float(levels[1]))
         levelset.level_bounds(prof, levels)
         assert calls[0] == 0
+
+
+class TestBroadcasting:
+    """``x_update_radius`` broadcasts ``log_t`` against ``u``, and
+    ``t_step_levels`` broadcasts ``log_t`` to ``size``; both match the call
+    on explicitly repeated levels bitwise."""
+
+    @pytest.mark.parametrize("fac", [PSS(5), USS()], ids=["pss", "uss"])
+    def test_scalar_level_matches_full_levels(self, fac):
+        prof = slice_profile(gaussian(5), fac)
+        s0 = prof.log_sup - 3.0
+        u = np.linspace(0.01, 0.99, 12).reshape(3, 4)
+        got = x_update_radius(prof, s0, u)
+        assert got.shape == (3, 4)
+        np.testing.assert_array_equal(got, x_update_radius(prof, np.full(u.shape, s0), u))
+
+    def test_broadcast_shape(self):
+        prof = slice_profile(exponential(3), USS())
+        log_t = prof.log_sup - np.array([[0.5], [2.0], [9.0]])
+        u = np.array([0.1, 0.4, 0.6, 0.9])
+        got = x_update_radius(prof, log_t, u)
+        assert got.shape == (3, 4)
+        full = x_update_radius(prof, np.repeat(log_t, 4, axis=1), np.tile(u, (3, 1)))
+        np.testing.assert_array_equal(got, full)
+
+    def test_two_scalars_give_a_float(self):
+        prof = slice_profile(exponential(3), PSS(3))
+        assert type(x_update_radius(prof, prof.log_sup - 1.0, 0.5)) is float
+
+    def test_level_reaching_the_origin(self):
+        # exponential USS d=2 at log_t = -2: interval [0, 2], r_lo = 0
+        target, fac = exponential(2), USS()
+        r = x_update_radius(slice_profile(target, fac), -2.0, np.linspace(1e-9, 1 - 1e-9, 50))
+        assert np.all(np.isfinite(r)) and np.all((r > 0.0) & (r <= 2.0))
+        s1 = t_step_levels(target, fac, -2.0, make_rng(3), size=1000)
+        assert s1.shape == (1000,) and np.all(np.isfinite(s1))
+
+    def test_mismatched_shapes_rejected(self):
+        prof = slice_profile(exponential(3), PSS(3))
+        with pytest.raises(DomainError, match="broadcast"):
+            x_update_radius(prof, prof.log_sup - np.ones(3), np.full(4, 0.5))
+
+    @pytest.mark.parametrize("fac", [PSS(5), USS()], ids=["pss", "uss"])
+    def test_steps_from_one_level_match_full_levels(self, fac):
+        target = exponential(5)
+        s0 = log_h_sup(target, fac) - 2.0
+        got = t_step_levels(target, fac, s0, make_rng(8), size=500)
+        assert got.shape == (500,)
+        np.testing.assert_array_equal(
+            got, t_step_levels(target, fac, np.full(500, s0), make_rng(8)))
+
+    def test_size_is_the_output_shape(self):
+        target, fac = gaussian(3), PSS(3)
+        levels = log_h_sup(target, fac) - np.array([0.5, 2.0, 9.0])
+        got = t_step_levels(target, fac, levels, make_rng(9), size=(2, 3))
+        assert got.shape == (2, 3)
+        np.testing.assert_array_equal(
+            got, t_step_levels(target, fac, np.tile(levels, (2, 1)), make_rng(9)))
+
+    @pytest.mark.parametrize("shape, size", [((4,), 3), ((3,), (3, 1)), ((2,), ())])
+    def test_levels_that_do_not_broadcast_to_size_rejected(self, shape, size):
+        target, fac = gaussian(3), PSS(3)
+        levels = np.full(shape, log_h_sup(target, fac) - 1.0)
+        with pytest.raises(DomainError, match="broadcast"):
+            t_step_levels(target, fac, levels, make_rng(10), size=size)
+
+
+class TestLevelSolvedOnce:
+    """Steps from one level solve that level's interval once, however many
+    steps are drawn."""
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        levels = [0]
+        solve = samplers.level_bounds
+
+        def counted(prof, log_t):
+            levels[0] += np.size(log_t)
+            return solve(prof, log_t)
+
+        monkeypatch.setattr(samplers, "level_bounds", counted)
+        return levels
+
+    def test_t_step_levels_from_one_level(self, solved):
+        target, fac = exponential(5), PSS(5)
+        t_step_levels(target, fac, log_h_sup(target, fac) - 3.0, make_rng(1), size=10_000)
+        assert solved[0] == 1
+
+    def test_kernel_mc_check(self, solved, monkeypatch):
+        # fewer draws per probe keep the test short; one solve per probe
+        # does not depend on the number of draws
+        monkeypatch.setattr(harness, "_KERNEL_MC_DRAWS", 1000)
+        checks = harness._kernel_mc_check(7)
+        assert len(checks) == 10
+        assert solved[0] <= 10
