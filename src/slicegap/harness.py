@@ -337,18 +337,17 @@ def adjointness_check(target, fac) -> float:
     c_norm = simpson(rho, x=r)                        # scaled normalization
     p1 = np.exp(alpha * np.log(r) - target.phi_vec(r))  # slice profile
 
-    ell = level_set_function(target, fac)
-    s_sup = ell.log_support_sup
+    prof = slice_profile(target, fac)
+    s_sup = prof.log_sup
     # substitute s = s_sup - v^2: the level-set function vanishes like
     # sqrt(s_sup - s) at the top level, and the substitution removes the
     # square-root endpoint singularity from the quadrature
     v_grid = np.linspace(math.sqrt(1e-12), math.sqrt(40.0), 4096 + 1)
     s_grid = s_sup - v_grid[::-1] ** 2
     t_grid = np.exp(s_grid)
-    r_lo_t, r_hi_t = level_bounds(slice_profile(target, fac), s_grid)
-    ell_log = ell.log(s_grid)
-    ell_scaled = np.where(np.isfinite(ell_log),
-                          np.exp(ell_log - np.max(ell_log[np.isfinite(ell_log)])), 0.0)
+    r_lo_t, r_hi_t = level_bounds(prof, s_grid)
+    den = (r_hi_t**beta - r_lo_t**beta) / beta        # ell(t) up to a constant
+    ell_scaled = den / np.max(den)
     x_var = -v_grid[::-1]
     jac = 2.0 * v_grid[::-1]                          # |ds/dv| on the s grid
     pi_t_weight = ell_scaled * t_grid * jac           # log-level law times ds/dv
@@ -362,7 +361,6 @@ def adjointness_check(target, fac) -> float:
         h_vals = h_fn(r)
         cum = np.concatenate([[0.0], cumulative_trapezoid(base * h_vals, r)])
         num = np.interp(r_hi_t, r, cum) - np.interp(np.maximum(r_lo_t, r_a), r, cum)
-        den = (r_hi_t**beta - r_lo_t**beta) / beta
         ux_h = num / den                               # (U_X h)(t) on the level grid
 
         norm_h = math.sqrt(max(simpson(rho * h_vals**2, x=r) / c_norm, 0.0))

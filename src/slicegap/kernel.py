@@ -360,7 +360,6 @@ class DualityReport:
     """Pointwise level-set agreement and gap agreement of two samplers."""
 
     max_ell_abs_diff: float
-    max_ell_rel_diff: float
     gap_a: float
     gap_b: float
 
@@ -378,11 +377,9 @@ def duality_gap_compare(ell_a: LevelSetFunction, ell_b: LevelSetFunction,
     va = ell_a.eval(probes)
     vb = ell_b.eval(probes)
     abs_diff = float(np.max(np.abs(va - vb)))
-    rel_diff = float(np.max(np.abs(va - vb) / np.maximum(np.abs(va), 1e-300)))
     gap_a = spectral_gap(discretize_pt(ell_a, grid)).gap
     gap_b = spectral_gap(discretize_pt(ell_b, grid)).gap
-    return DualityReport(max_ell_abs_diff=abs_diff, max_ell_rel_diff=rel_diff,
-                         gap_a=gap_a, gap_b=gap_b)
+    return DualityReport(max_ell_abs_diff=abs_diff, gap_a=gap_a, gap_b=gap_b)
 
 
 def transition_cdf(ell: LevelSetFunction, log_t: float, log_b: float,

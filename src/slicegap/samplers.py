@@ -9,13 +9,17 @@ dimension.  The level draw ``t ~ Unif(0, h(x))`` is performed as
 sample of the radial density ``r^{d-1-alpha}`` on the level interval.
 Every entry point solves the slice profile once
 (:func:`~slicegap.levelset.slice_profile`) and takes all of its level
-intervals from it.  Both chains are built from one pair of these
-half-steps; they and the one-step maps draw every uniform from the open
-interval (0, 1).  The set draw broadcasts its levels against its
-uniforms and ``t_step_levels`` takes numpy's ``size``; both solve level
-intervals only on the levels given, so many draws from one level cost one
-root solve.  The two stationary oracles share one grid inverse CDF, and
-every redraw loop is capped.
+intervals from it.
+
+Every sampler draws its uniforms first, in one block from the open
+interval (0, 1), and then steps.  The half-steps are pure functions of a
+state and a uniform: ``t_update`` and ``x_update_radius`` on arrays, and
+one scalar pair that both chains run through one loop.  The one-step maps
+are the two vector half-steps composed.  The set draw broadcasts its
+levels against its uniforms and ``t_step_levels`` takes numpy's ``size``;
+both solve level intervals only on the levels given, so many draws from
+one level cost one root solve.  The two stationary oracles share one grid
+inverse CDF, and every redraw loop is capped.
 """
 
 from __future__ import annotations
@@ -91,16 +95,10 @@ def make_rng(base_seed: int, chain_index: int = 0) -> np.random.Generator:
     )
 
 
-def _open_uniform(rng: np.random.Generator) -> float:
-    for _ in range(_MAX_REDRAWS):
-        u = rng.random()
-        if u != 0.0:
-            return u
-    raise DomainError(f"random stream returned 0.0 {_MAX_REDRAWS} times in a row")
-
-
 def _open_uniforms(rng: np.random.Generator, size) -> np.ndarray:
-    u = rng.random(size)
+    """Every uniform the samplers use: ``rng.random(size)`` with exact zeros
+    redrawn, so each lies in the open interval (0, 1)."""
+    u = np.asarray(rng.random(size))
     for _ in range(_MAX_REDRAWS):
         zero = u == 0.0
         if not np.any(zero):
@@ -191,26 +189,38 @@ def sample_direction(d: int, rng: np.random.Generator) -> np.ndarray:
                       "norm <= 1e-12 in a row")
 
 
-def _half_steps(target: RadialTarget, fac: RadialFactorization, n: int,
-                rng: np.random.Generator):
-    """``(level, radius, log_sup)`` of a scalar chain drawing from ``rng``:
-    ``level(r)`` draws ``log t`` below ``log h(r)``, ``radius(log_t)`` a
-    radius from the level set."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
+def _half_steps(target: RadialTarget, fac: RadialFactorization):
+    """``(level, radius, log_sup)``: the scalar half-steps ``level(r, u)``,
+    the log level ``log h(r) + log u``, and ``radius(log_t, u)``, the
+    inverse-CDF radius at ``u`` on the level set, as in ``t_update`` and
+    ``x_update_radius``."""
     prof = slice_profile(target, fac)
     phi = target.phi
     alpha = fac.alpha
     beta = target.dim - alpha
 
-    def level(r: float) -> float:
-        return alpha * math.log(r) - phi(r) + math.log(_open_uniform(rng))
+    def level(r: float, u: float) -> float:
+        return alpha * math.log(r) - phi(r) + math.log(u)
 
-    def radius(log_t: float) -> float:
+    def radius(log_t: float, u: float) -> float:
         r_lo, r_hi = level_interval(prof, log_t)
-        return _inverse_cdf_radius(r_lo, r_hi, _open_uniform(rng), beta)
+        return _inverse_cdf_radius(r_lo, r_hi, u, beta)
 
     return level, radius, prof.log_sup
+
+
+def _alternate(first, second, x0: float, n: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """The ``n + 1`` states of ``x -> second(first(x, u), v)`` from ``x0``;
+    the ``2n`` uniforms are drawn in one block, in the order used."""
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    uniforms = iter(_open_uniforms(rng, 2 * n).tolist())
+    values = np.empty(n + 1)
+    x = values[0] = x0
+    for i, u, v in zip(range(1, n + 1), uniforms, uniforms):
+        x = values[i] = second(first(x, u), v)
+    return values
 
 
 def _chain_meta(chain: str, target: RadialTarget, fac: RadialFactorization,
@@ -229,14 +239,10 @@ def run_x_chain(target: RadialTarget, fac: RadialFactorization,
     stream, and the trace holds the computed ``||x||``; the radius sequence
     is identical in both modes under the same seed.
     """
-    level, radius, _ = _half_steps(target, fac, n, make_rng(seed, 0))
+    level, radius, _ = _half_steps(target, fac)
     if not (0.0 < init_radius < target.kappa):
         raise DomainError(f"init_radius={init_radius} outside (0, kappa)")
-
-    values = np.empty(n + 1)
-    r = values[0] = float(init_radius)
-    for i in range(1, n + 1):
-        r = values[i] = radius(level(r))
+    values = _alternate(level, radius, float(init_radius), n, make_rng(seed, 0))
     if full_vector:
         rng_dir = make_rng(seed, 1)
         values = np.array([np.linalg.norm(r * sample_direction(target.dim, rng_dir))
@@ -249,16 +255,10 @@ def run_x_chain(target: RadialTarget, fac: RadialFactorization,
 def run_t_chain(target: RadialTarget, fac: RadialFactorization,
                 n: int, init_log_t: float, seed: int) -> Trace:
     """Auxiliary level chain: set update then level update; records log t."""
-    level, radius, log_sup = _half_steps(target, fac, n, make_rng(seed, 0))
+    level, radius, log_sup = _half_steps(target, fac)
     if not init_log_t < log_sup:
         raise DomainError("init_log_t is not inside the support of the level chain")
-
-    values = np.empty(n + 1)
-    log_t = float(init_log_t)
-    values[0] = log_t
-    for i in range(1, n + 1):
-        log_t = level(radius(log_t))
-        values[i] = log_t
+    values = _alternate(radius, level, float(init_log_t), n, make_rng(seed, 0))
     meta = _chain_meta("t", target, fac, n, init_log_t=init_log_t)
     return Trace(values=values, seed=seed, meta=meta)
 
@@ -272,7 +272,7 @@ def x_step_radii(target: RadialTarget, fac: RadialFactorization,
     """One full slice step applied independently to an array of radii."""
     prof = slice_profile(target, fac)
     radii = np.asarray(radii, dtype=float)
-    log_t = log_h(target, fac, radii) + np.log(_open_uniforms(rng, radii.shape))
+    log_t = t_update(log_h(target, fac, radii), _open_uniforms(rng, radii.shape))
     return x_update_radius(prof, log_t, _open_uniforms(rng, radii.shape))
 
 
@@ -294,7 +294,7 @@ def t_step_levels(target: RadialTarget, fac: RadialFactorization,
         raise DomainError(f"log_t of shape {log_t.shape} does not broadcast "
                           f"to size {shape}")
     r = x_update_radius(prof, log_t, _open_uniforms(rng, shape))
-    return log_h(target, fac, r) + np.log(_open_uniforms(rng, shape))
+    return t_update(log_h(target, fac, r), _open_uniforms(rng, shape))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +313,7 @@ class _GridInverseCdf:
         self.cdf = cdf / cdf[-1]
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        return np.interp(rng.random(size), self.cdf, self.grid)
+        return np.interp(_open_uniforms(rng, size), self.cdf, self.grid)
 
 
 class RadialStationarySampler(_GridInverseCdf):

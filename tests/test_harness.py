@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from slicegap import harness, levelset
 from slicegap.cli import main
 from slicegap.errors import DomainError
 from slicegap.harness import (
@@ -203,3 +204,24 @@ class TestAdjointness:
 
     def test_uss_volcano(self):
         assert adjointness_check(volcano(2, 2.0), USS()) <= 1e-6
+
+    def test_levels_and_profile_solved_once(self, monkeypatch):
+        # one 4097-level grid and at most two profiles (the radial one and
+        # the sampler's) per call
+        levels, modes = [0], [0]
+        solve, mode = levelset.level_bounds, levelset.mode_radius
+
+        def counted(prof, log_t):
+            levels[0] += np.size(log_t)
+            return solve(prof, log_t)
+
+        def counted_mode(target, fac):
+            modes[0] += 1
+            return mode(target, fac)
+
+        monkeypatch.setattr(levelset, "level_bounds", counted)
+        monkeypatch.setattr(harness, "level_bounds", counted)
+        monkeypatch.setattr(levelset, "mode_radius", counted_mode)
+        adjointness_check(volcano(2, 2.0), USS())
+        assert levels[0] == 4097
+        assert modes[0] <= 2

@@ -1,7 +1,9 @@
 """Tests for chain updates, chain runners and the stationary oracles."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,10 +278,6 @@ class ZeroStream:
 
 
 class TestBoundedRedraws:
-    def test_open_uniform_gives_up(self):
-        with pytest.raises(DomainError, match="0.0"):
-            samplers._open_uniform(ZeroStream())
-
     def test_open_uniforms_gives_up(self):
         with pytest.raises(DomainError, match="0.0"):
             samplers._open_uniforms(ZeroStream(), (5,))
@@ -319,12 +317,64 @@ class TestSetDrawNeverZero:
         levels = prof.log_sup - np.array([1.0, 2.0])
         assert np.all(np.isfinite(t_step_levels(target, fac, levels, OneZeroStream(at=0))))
 
-    def test_scalar_half_step(self):
-        level, radius, _ = samplers._half_steps(exponential(3), USS(), 1,
-                                                OneZeroStream(at=0))
-        r = radius(-2.0)
-        assert r > 0.0
-        assert math.isfinite(level(r))
+    def test_scalar_half_step(self, monkeypatch):
+        monkeypatch.setattr(samplers, "make_rng", lambda *args: OneZeroStream(at=0))
+        r = run_x_chain(exponential(3), USS(), 50, 1.0, seed=1).values
+        assert np.all(np.isfinite(r)) and np.all(r > 0.0)
+
+    def test_oracle_draw(self):
+        # the radial oracle's grid starts at r = 0 for exponential(1)
+        target, fac = exponential(1), PSS(1)
+        sampler = RadialStationarySampler(target)
+        r = sampler.sample(OneZeroStream(at=0))
+        assert isinstance(r, float) and r > 0.0
+        assert math.isfinite(x_step_radii(target, fac, np.array([r]), make_rng(2))[0])
+        assert np.all(sampler.sample(OneZeroStream(at=0), 5) > 0.0)
+
+
+class TestChainsComposeHalfSteps:
+    """Each step of a scalar chain equals the composed vector half-steps
+    applied to the previous state with the same two uniforms, taken from
+    the chain's block of ``2n`` in the order the half-steps use them."""
+
+    n = 300
+    cases = [(exponential(10), PSS(10)), (exponential(30), USS()),
+             (gaussian(20), PSS(20))]
+
+    def uniforms(self, seed):
+        u = samplers._open_uniforms(make_rng(seed, 0), 2 * self.n)
+        return u[0::2], u[1::2]
+
+    @pytest.mark.parametrize("target, fac", cases)
+    def test_x_chain(self, target, fac):
+        prof = slice_profile(target, fac)
+        r = run_x_chain(target, fac, self.n, 1.0, seed=3).values
+        u, v = self.uniforms(3)
+        step = x_update_radius(prof, t_update(log_h(target, fac, r[:-1]), u), v)
+        np.testing.assert_allclose(step, r[1:], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("target, fac", cases)
+    def test_t_chain(self, target, fac):
+        prof = slice_profile(target, fac)
+        s = run_t_chain(target, fac, self.n, prof.log_sup - 2.0, seed=4).values
+        u, v = self.uniforms(4)
+        step = t_update(log_h(target, fac, x_update_radius(prof, s[:-1], u)), v)
+        # an absolute error in log t is a relative error in t
+        np.testing.assert_allclose(step, s[1:], rtol=0, atol=1e-13)
+
+
+def test_uniforms_are_drawn_only_by_open_uniforms():
+    """Every ``.random(`` call in samplers.py sits inside ``_open_uniforms``."""
+    tree = ast.parse(Path(samplers.__file__).read_text())
+
+    def random_calls(node):
+        return sum(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                   and n.func.attr == "random" for n in ast.walk(node))
+
+    owner, = (n for n in ast.walk(tree)
+              if isinstance(n, ast.FunctionDef) and n.name == "_open_uniforms")
+    assert random_calls(owner) > 0
+    assert random_calls(tree) == random_calls(owner)
 
 
 class TestProfileSolvedOnce:
