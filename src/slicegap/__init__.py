@@ -48,7 +48,6 @@ from .samplers import (
     make_rng,
     run_t_chain,
     run_x_chain,
-    sample_direction,
     t_step_levels,
     t_update,
     x_step_radii,

@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 _MIN_LEN = 10
-_FFT_THRESHOLD = 512
 _DEFAULT_MAX_LAG = 10_000
 
 
@@ -58,8 +57,8 @@ class IatEstimate:
 def autocorr(values: np.ndarray, max_lag: int) -> AcfSeries:
     """Empirical autocorrelation function with denominator-n normalization.
 
-    gamma(k) = (1/n) sum_{i<n-k} (x_i - mean)(x_{i+k} - mean); rho = gamma/gamma(0).
-    Uses the direct sum for short lag ranges and an FFT for long ones.
+    gamma(k) = (1/n) sum_{i<n-k} (x_i - mean)(x_{i+k} - mean); rho = gamma/gamma(0),
+    computed by FFT.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
@@ -73,14 +72,9 @@ def autocorr(values: np.ndarray, max_lag: int) -> AcfSeries:
     var = float(np.dot(xc, xc)) / n
     if var <= 0.0 or not math.isfinite(var):
         raise ZeroVarianceError("trace has zero variance")
-    if max_lag > _FFT_THRESHOLD:
-        m = 1 << int(np.ceil(np.log2(2 * n)))
-        f = np.fft.rfft(xc, m)
-        gamma = np.fft.irfft(f * np.conj(f), m)[: max_lag + 1] / n
-    else:
-        gamma = np.array(
-            [np.dot(xc[: n - k], xc[k:]) / n for k in range(max_lag + 1)]
-        )
+    m = 1 << int(np.ceil(np.log2(2 * n)))
+    f = np.fft.rfft(xc, m)
+    gamma = np.fft.irfft(f * np.conj(f), m)[: max_lag + 1] / n
     return AcfSeries(rho=gamma / gamma[0], n=n)
 
 

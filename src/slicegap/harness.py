@@ -216,16 +216,8 @@ def gap_table(config: ExperimentConfig) -> list:
             ell = level_set_function(target, fac)
             est = kernelmod.certify_gap(ell, n=config.grid_size,
                                         mass_tol=config.mass_tol)
-            out.append({
-                "target": config.target, "alpha": fac.alpha, "d": d,
-                "gap": est.gap, "lambda2": est.lambda2,
-                "grid_size": est.grid_size,
-                "refinement_delta": est.refinement_delta,
-                "truncation_mass": est.truncation_mass,
-                "converged": est.converged,
-                "eig_residual": est.eig_residual,
-                "top_residual": est.top_residual,
-            })
+            out.append({"target": config.target, "alpha": fac.alpha, "d": d,
+                        **est.to_dict()})
     return out
 
 

@@ -157,7 +157,6 @@ class DiscreteKernel:
     diag: np.ndarray             # diagonal of the flux matrix, scaled
     weights: np.ndarray          # stationary cell probabilities
     grid: TGrid
-    row_defect: float            # TV mismatch vs. independent quadrature weights
 
     @property
     def n(self) -> int:
@@ -184,7 +183,8 @@ class DiscreteKernel:
 def stationary_weights(ell: LevelSetFunction, grid: TGrid) -> np.ndarray:
     """Cell masses of the stationary level density, normalized to sum 1.
 
-    Composite Simpson with 8 subintervals per cell applied to
+    An independent reference for the weights of :func:`discretize_pt`:
+    composite Simpson with 8 subintervals per cell applied to
     ``ell(e^s) e^s`` in the log-level variable.
     """
     b = grid.boundaries
@@ -258,16 +258,8 @@ def discretize_pt(ell: LevelSetFunction, grid: TGrid,
     if np.any(w <= 0.0):
         raise DegenerateSupportError("a grid cell carries no flux")
     total = w.sum()
-    weights = w / total
-
-    # quadrature defect: total-variation distance between the kernel's
-    # implied stationary cell masses and an independent Simpson quadrature
-    # of the stationary density (the lowest cell additionally absorbs the
-    # truncated (0, t_min) tail, which the Simpson reference cannot see)
-    ref_weights = stationary_weights(ell, grid)
-    row_defect = float(0.5 * np.abs(weights - ref_weights).sum())
     return DiscreteKernel(len_cell=len_cell, A=A / total, diag=2.0 * B / total,
-                          weights=weights, grid=grid, row_defect=row_defect)
+                          weights=w / total, grid=grid)
 
 
 @dataclass(frozen=True)
@@ -312,6 +304,8 @@ def spectral_gap(kernel: DiscreteKernel) -> GapEstimate:
     """
     sq = np.sqrt(kernel.weights)
     n = sq.size
+    if n < 2:
+        raise DomainError(f"a spectral gap needs at least 2 grid cells, got {n}")
 
     def sym(x):
         return kernel.flux_matvec(x / sq) / sq
@@ -400,6 +394,6 @@ def transition_cdf(ell: LevelSetFunction, log_t: float, log_b: float,
     delta = np.clip(lv[:-1] - lv[1:], 0.0, None)
     # work relative to the current level to avoid overflow
     mu = np.exp(0.5 * (s[:-1] + s[1:]) - log_t)
-    bb = math.exp(min(log_b - log_t, 700.0)) if log_b - log_t < 700 else math.inf
+    bb = math.exp(log_b - log_t) if log_b - log_t < 700 else math.inf
     frac = np.minimum(bb, mu) / mu
     return float(np.sum(frac * delta) / lv[0])

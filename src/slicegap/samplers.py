@@ -2,9 +2,8 @@
 
 For rotationally invariant targets and radial summary functions the radius
 process is itself a Markov chain with the same law as the radius of the
-full-space chain, so the default simulation never materializes direction
-vectors.  A full-vector mode exists to validate that reduction at small
-dimension.  The level draw ``t ~ Unif(0, h(x))`` is performed as
+full-space chain, so the simulation never materializes direction vectors.
+The level draw ``t ~ Unif(0, h(x))`` is performed as
 ``log t = log h(x) + log u`` and the set draw is an exact inverse-CDF
 sample of the radial density ``r^{d-1-alpha}`` on the level interval.
 Every entry point solves the slice profile once
@@ -45,7 +44,6 @@ __all__ = [
     "make_rng",
     "t_update",
     "x_update_radius",
-    "sample_direction",
     "run_x_chain",
     "run_t_chain",
     "x_step_radii",
@@ -176,19 +174,6 @@ def _inverse_cdf_radius_vec(r_lo, r_hi, u, beta: float) -> np.ndarray:
                     r_lo)
 
 
-def sample_direction(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform unit vector in R^d (normalized standard Gaussian)."""
-    if d < 1:
-        raise DomainError(f"d must be positive, got {d}")
-    for _ in range(_MAX_REDRAWS):
-        v = rng.standard_normal(d)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-12:
-            return v / norm
-    raise DomainError(f"random stream gave {_MAX_REDRAWS} Gaussian vectors of "
-                      "norm <= 1e-12 in a row")
-
-
 def _half_steps(target: RadialTarget, fac: RadialFactorization):
     """``(level, radius, log_sup)``: the scalar half-steps ``level(r, u)``,
     the log level ``log h(r) + log u``, and ``radius(log_t, u)``, the
@@ -230,25 +215,16 @@ def _chain_meta(chain: str, target: RadialTarget, fac: RadialFactorization,
 
 
 def run_x_chain(target: RadialTarget, fac: RadialFactorization,
-                n: int, init_radius: float, seed: int,
-                full_vector: bool = False) -> Trace:
+                n: int, init_radius: float, seed: int) -> Trace:
     """Alternate level and set updates for ``n`` steps; length-(n+1) trace.
 
-    Records the radius ``||x||``.  In full-vector mode each state is
-    ``x = r * direction`` with the direction drawn from a separate seeded
-    stream, and the trace holds the computed ``||x||``; the radius sequence
-    is identical in both modes under the same seed.
+    Records the radius ``||x||``.
     """
     level, radius, _ = _half_steps(target, fac)
     if not (0.0 < init_radius < target.kappa):
         raise DomainError(f"init_radius={init_radius} outside (0, kappa)")
     values = _alternate(level, radius, float(init_radius), n, make_rng(seed, 0))
-    if full_vector:
-        rng_dir = make_rng(seed, 1)
-        values = np.array([np.linalg.norm(r * sample_direction(target.dim, rng_dir))
-                           for r in values])
-    meta = _chain_meta("x", target, fac, n, init_radius=init_radius,
-                       full_vector=full_vector)
+    meta = _chain_meta("x", target, fac, n, init_radius=init_radius)
     return Trace(values=values, seed=seed, meta=meta)
 
 

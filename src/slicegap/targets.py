@@ -11,6 +11,7 @@ that nothing overflows even for dimensions in the thousands.
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -211,7 +212,12 @@ def make_builtin(tag: str, dim: int, **params) -> RadialTarget:
     key = tag.lower()
     if key not in BUILTIN_TAGS:
         raise DomainError(f"unknown builtin target {tag!r}; known: {sorted(BUILTIN_TAGS)}")
-    return BUILTIN_TAGS[key](dim, **params)
+    make = BUILTIN_TAGS[key]
+    try:
+        inspect.signature(make).bind(dim, **params)
+    except TypeError as exc:
+        raise DomainError(f"builtin target {tag!r}: {exc}") from None
+    return make(dim, **params)
 
 
 def validate_target(target: RadialTarget) -> None:

@@ -167,6 +167,19 @@ class TestCli:
         config.write_text(json.dumps({"dims": []}))
         assert main(["iat-sweep", "--config", str(config)]) == 2
 
+    def test_one_cell_grid_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"dims": [2], "samplers": ["pss"]}))
+        assert main(["gap-table", "--config", str(config), "--grid-size", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unknown_target_param_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"target_params": {"foo": 1}, "dims": [2]}))
+        assert main(["gap-table", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'exponential'" in err and "foo" in err
+
     def test_flag_not_read_by_subcommand_is_rejected(self, capsys):
         # verify builds no gap table, so it takes no grid size
         with pytest.raises(SystemExit) as exc:

@@ -163,8 +163,11 @@ class TestDiscretizePt:
 
     def test_quadrature_defect_small(self):
         ell = level_set_function(exponential(5), PSS(5))
-        dk = discretize_pt(ell, build_tgrid(ell, 2048))
-        assert dk.row_defect <= 1e-6
+        grid = build_tgrid(ell, 2048)
+        dk = discretize_pt(ell, grid)
+        # the lowest cell also absorbs the truncated (0, t_min) tail, which
+        # the Simpson reference cannot see
+        assert 0.5 * np.abs(dk.weights - stationary_weights(ell, grid)).sum() <= 1e-6
 
     def test_refinement_grid_matches_cellwise_linspace(self):
         ell = level_set_function(exponential(5), PSS(5))
@@ -178,6 +181,7 @@ class TestDiscretizePt:
         b = grid.boundaries
         cellwise = np.concatenate([np.linspace(b[i], b[i + 1], 17)[:-1]
                                    for i in range(300)] + [b[-1:]])
+        assert len(seen) == 1  # one ell call per kernel
         assert np.array_equal(seen[0], cellwise)
 
     def test_matvec_matches_dense_flux(self):
@@ -204,7 +208,7 @@ class TestSpectralGap:
     def _kernel_from_generators(self, len_cell, A, diag):
         grid = TGrid(boundaries=np.linspace(-1, 0, diag.size + 1))
         dk = DiscreteKernel(len_cell=len_cell, A=A, diag=diag, weights=np.ones(diag.size),
-                            grid=grid, row_defect=0.0)
+                            grid=grid)
         return replace(dk, weights=dk.flux_matvec(np.ones(diag.size)))
 
     def test_identity_kernel_gap_zero(self):

@@ -79,9 +79,6 @@ CASES = {
         lambda: run_x_chain(exponential(10), PSS(10), STEPS, 9.0, seed=101).values,
     "run_x_chain/exponential/uss/d=30":
         lambda: run_x_chain(exponential(30), USS(), STEPS, 29.0, seed=202).values,
-    "run_x_chain/volcano/pss/d=5/full_vector":
-        lambda: run_x_chain(volcano(5, 2.0), PSS(5), STEPS, 4.0, seed=303,
-                            full_vector=True).values,
     "run_t_chain/gaussian/pss/d=3": _t_chain_gaussian_pss_3,
     "x_step_radii/exponential/uss/d=5": _x_step_radii_exponential_uss_5,
     "t_step_levels/gaussian/pss/d=5": _t_step_levels_gaussian_pss_5,
