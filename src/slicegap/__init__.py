@@ -24,7 +24,6 @@ from .kernel import (
     discretize_pt,
     duality_gap_compare,
     spectral_gap,
-    stationary_weights,
     transition_cdf,
 )
 from .levelset import (
@@ -37,7 +36,6 @@ from .levelset import (
     level_bounds,
     level_interval,
     level_set_function,
-    log_h_sup,
     mode_radius,
     slice_profile,
 )
@@ -64,7 +62,6 @@ from .targets import (
     make_builtin,
     radial_weighted_exponential,
     surface_area,
-    validate_target,
     volcano,
 )
 

@@ -46,7 +46,6 @@ __all__ = [
     "DiscreteKernel",
     "GapEstimate",
     "build_tgrid",
-    "stationary_weights",
     "discretize_pt",
     "spectral_gap",
     "certify_gap",
@@ -109,6 +108,8 @@ def build_tgrid(ell: LevelSetFunction, n: int = 2048,
     the window's cumulative trapezoid sums, so the reported truncation
     mass never exceeds ``mass_tol``.
     """
+    if n < 1:
+        raise DomainError(f"grid size must be at least 1, got {n}")
     s_sup = ell.log_support_sup
     if not math.isfinite(s_sup):
         raise DomainError("grid construction requires a finite support supremum")
@@ -178,34 +179,6 @@ class DiscreteKernel:
     def matrix(self) -> np.ndarray:
         """Dense row-stochastic kernel, n x n, built on every access."""
         return self.flux / self.weights[:, None]
-
-
-def stationary_weights(ell: LevelSetFunction, grid: TGrid) -> np.ndarray:
-    """Cell masses of the stationary level density, normalized to sum 1.
-
-    An independent reference for the weights of :func:`discretize_pt`:
-    composite Simpson with 8 subintervals per cell applied to
-    ``ell(e^s) e^s`` in the log-level variable.
-    """
-    b = grid.boundaries
-    n = grid.n
-    sub = 8
-    s = np.linspace(0.0, 1.0, sub + 1)
-    pts = b[:-1, None] + np.diff(b)[:, None] * s[None, :]  # (n, sub+1)
-    lm = ell.log(pts.ravel()).reshape(n, sub + 1) + pts
-    finite = np.isfinite(lm)
-    if not np.any(finite):
-        raise DegenerateSupportError("level-set function vanishes on the whole grid")
-    top = np.max(lm[finite])
-    vals = np.zeros(lm.shape)
-    vals[finite] = np.exp(lm[finite] - top)
-    w_simpson = np.array([1, 4, 2, 4, 2, 4, 2, 4, 1], dtype=float)
-    h = np.diff(b) / sub
-    masses = (vals @ w_simpson) * h / 3.0
-    total = masses.sum()
-    if total <= 0.0:
-        raise DegenerateSupportError("all stationary cell masses are zero")
-    return masses / total
 
 
 def discretize_pt(ell: LevelSetFunction, grid: TGrid,

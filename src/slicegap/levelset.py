@@ -18,6 +18,11 @@ mode and the canonical comparator's potential are solved by one bisection,
 ``_bisect``; level endpoints by a safeguarded Newton iteration in ``log r``
 that takes the same steps for one level (``level_interval``) and for an
 array (``level_bounds``).
+
+A chain visits many nearby levels of one profile, so ``_ladder`` keeps the
+intervals of a fixed ladder of levels below the supremum, each solved by
+``level_interval`` the first time it is needed.  The two rungs around a
+level bracket both of its endpoints, and Newton starts between them.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ __all__ = [
     "SliceProfile",
     "slice_profile",
     "mode_radius",
-    "log_h_sup",
     "level_interval",
     "level_bounds",
     "level_set_function",
@@ -51,6 +55,10 @@ __all__ = [
 _MAX_EXPANSIONS = 200
 # Levels per level_bounds chunk; keeps the solver's working arrays small.
 _CHUNK = 1 << 13
+# Chain ladders: rungs per unit of log level, and rungs in all; the ladder
+# spans the 64 units of log level below the profile supremum.
+_RUNGS_PER_UNIT = 16
+_RUNGS = 1024
 # Newton stopping tolerance in u = log r, relative to max(|u|, 1): 4 ulp.
 _U_TOL = 4.0 * np.finfo(float).eps
 # Scalar bisection stop: bracket width relative to max(|root|, 1).
@@ -172,11 +180,6 @@ def slice_profile(target: RadialTarget, fac: RadialFactorization) -> SliceProfil
     return SliceProfile(target, fac.alpha, r_mode, log_sup)
 
 
-def log_h_sup(target: RadialTarget, fac: RadialFactorization) -> float:
-    """Log of ``sup_r h_alpha(r)``; +inf when the profile diverges at 0."""
-    return slice_profile(target, fac).log_sup
-
-
 # ---------------------------------------------------------------------------
 # Level intervals: safeguarded Newton in log r, scalar and vectorized
 # ---------------------------------------------------------------------------
@@ -208,13 +211,15 @@ def level_interval(prof: SliceProfile, log_t: float) -> tuple[float, float]:
         # profile exceeds the level all the way down and r_lo stays 0.
         for a in _deepening(r_mode):
             if lh(a) <= log_t:
-                r_lo = _newton_scalar(phi, dphi, alpha, log_t, a, r_mode)
+                u = math.log(a)
+                r_lo = _newton_scalar(phi, dphi, alpha, log_t, u, math.log(r_mode), u)
                 break
 
     # --- upper endpoint --------------------------------------------------
     for hi in _outward(anchor, target.kappa):
         if lh(hi) <= log_t:
-            return r_lo, _newton_scalar(phi, dphi, alpha, log_t, hi, anchor)
+            u = math.log(hi)
+            return r_lo, _newton_scalar(phi, dphi, alpha, log_t, u, math.log(anchor), u)
     raise NoRootError("upper bracket expansion failed; profile does not decay")
 
 
@@ -335,11 +340,11 @@ def _newton_log_radius(target: RadialTarget, alpha: float, log_t: np.ndarray,
 
 
 def _newton_scalar(phi, dphi, alpha: float, log_t: float,
-                   r_below: float, r_above: float) -> float:
-    """:func:`_newton_log_radius` on one level bracketed by radii; a zero
-    ``g'`` takes the bisection step, as a NaN one does."""
-    u = xb = math.log(r_below)
-    xa = math.log(r_above)
+                   u_below: float, u_above: float, u: float) -> float:
+    """:func:`_newton_log_radius` on one level, started at ``u`` inside the
+    bracket ``[u_below, u_above]``; a zero ``g'`` takes the bisection step,
+    as a NaN one does."""
+    xb, xa = u_below, u_above
     dx = dxold = abs(xa - xb)
     for _ in range(_MAX_EXPANSIONS):
         r = math.exp(u)
@@ -355,6 +360,48 @@ def _newton_scalar(phi, dphi, alpha: float, log_t: float,
         if dx <= _U_TOL * (u if u > 1.0 else -u if u < -1.0 else 1.0):
             return math.exp(u)
     raise NoRootError("safeguarded Newton did not converge on the level interval")
+
+
+def _ladder(prof: SliceProfile) -> Callable[[float], tuple[float, float]]:
+    """:func:`level_interval` for the many levels of one chain, bracketed by
+    a ladder of solved rungs.
+
+    Rung ``k < _RUNGS`` sits at the level ``log_sup - 64 + k/16`` and holds
+    ``(log r_lo, log r_hi)`` there, solved by :func:`level_interval` the
+    first time a level next to it comes up.  ``r_lo`` rises with the level
+    and ``r_hi`` falls, so the rungs on either side of a level bracket both
+    of its roots in ``u = log r``; Newton starts at the linear interpolation
+    between them.  Levels outside the ladder or in its top cell, and those
+    whose lower rung has ``r_lo = 0`` while the upper one does not, take
+    :func:`level_interval`; when both rungs have ``r_lo = 0``, so does the
+    level.
+    """
+    base = prof.log_sup - _RUNGS / _RUNGS_PER_UNIT
+    phi, dphi, alpha = prof.target.phi, prof.target.dphi, prof.alpha
+    rungs: list = [None] * _RUNGS
+
+    def rung(k: int) -> tuple[float, float]:
+        r_lo, r_hi = level_interval(prof, base + k / _RUNGS_PER_UNIT)
+        rungs[k] = (math.log(r_lo) if r_lo > 0.0 else -math.inf, math.log(r_hi))
+        return rungs[k]
+
+    def interval(log_t: float) -> tuple[float, float]:
+        x = (log_t - base) * _RUNGS_PER_UNIT
+        if not 0.0 <= x < _RUNGS - 1:
+            return level_interval(prof, log_t)
+        k = int(x)
+        w = x - k
+        lo0, hi0 = rungs[k] or rung(k)
+        lo1, hi1 = rungs[k + 1] or rung(k + 1)
+        if lo1 == -math.inf:
+            r_lo = 0.0
+        elif lo0 == -math.inf:
+            return level_interval(prof, log_t)
+        else:
+            r_lo = _newton_scalar(phi, dphi, alpha, log_t, lo0, lo1, lo0 + w * (lo1 - lo0))
+        return r_lo, _newton_scalar(phi, dphi, alpha, log_t, hi0, hi1, hi0 + w * (hi1 - hi0))
+
+    return interval
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,14 @@ intervals from it.
 Every sampler draws its uniforms first, in one block from the open
 interval (0, 1), and then steps.  The half-steps are pure functions of a
 state and a uniform: ``t_update`` and ``x_update_radius`` on arrays, and
-one scalar pair that both chains run through one loop.  The one-step maps
-are the two vector half-steps composed.  The set draw broadcasts its
-levels against its uniforms and ``t_step_levels`` takes numpy's ``size``;
-both solve level intervals only on the levels given, so many draws from
-one level cost one root solve.  The two stationary oracles share one grid
-inverse CDF, and every redraw loop is capped.
+one scalar pair that both chains run through one loop; each chain takes
+its level intervals from its own ladder of solved levels
+(``levelset._ladder``), whose rungs bracket the levels it visits.  The
+one-step maps are the two vector half-steps composed.  The set draw
+broadcasts its levels against its uniforms and ``t_step_levels`` takes
+numpy's ``size``; both solve level intervals only on the levels given, so
+many draws from one level cost one root solve.  The two stationary
+oracles share one grid inverse CDF, and every redraw loop is capped.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .errors import DomainError
 from .levelset import (
     LevelSetFunction,
     SliceProfile,
+    _ladder,
     level_bounds,
     level_interval,
     slice_profile,
@@ -187,8 +190,10 @@ def _half_steps(target: RadialTarget, fac: RadialFactorization):
     def level(r: float, u: float) -> float:
         return alpha * math.log(r) - phi(r) + math.log(u)
 
+    interval = _ladder(prof)
+
     def radius(log_t: float, u: float) -> float:
-        r_lo, r_hi = level_interval(prof, log_t)
+        r_lo, r_hi = interval(log_t)
         return _inverse_cdf_radius(r_lo, r_hi, u, beta)
 
     return level, radius, prof.log_sup

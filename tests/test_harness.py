@@ -173,6 +173,14 @@ class TestCli:
         assert main(["gap-table", "--config", str(config), "--grid-size", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_negative_grid_size_exit_code(self, tmp_path, capsys):
+        # numpy's linspace rejects the sample count -2 with a ValueError
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"dims": [2], "samplers": ["pss"]}))
+        assert main(["gap-table", "--config", str(config), "--grid-size", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_target_param_exit_code(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"target_params": {"foo": 1}, "dims": [2]}))

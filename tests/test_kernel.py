@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 
 import slicegap.kernel as kernelmod
-from slicegap.errors import DomainError, InvalidLevelSetError
+from slicegap.errors import DegenerateSupportError, DomainError, InvalidLevelSetError
 from slicegap.kernel import (
     DiscreteKernel,
     TGrid,
@@ -19,7 +19,6 @@ from slicegap.kernel import (
     discretize_pt,
     duality_gap_compare,
     spectral_gap,
-    stationary_weights,
     transition_cdf,
 )
 from slicegap.levelset import LevelSetFunction, level_set_function
@@ -59,6 +58,34 @@ def logarithmic_ell():
         return out
     return LevelSetFunction(log_eval=log_eval, log_support_sup=0.0,
                             limit_L=math.inf, label="log")
+
+
+def stationary_weights(ell: LevelSetFunction, grid: TGrid) -> np.ndarray:
+    """Cell masses of the stationary level density, normalized to sum 1.
+
+    The independent reference for the weights of :func:`discretize_pt`:
+    composite Simpson with 8 subintervals per cell applied to
+    ``ell(e^s) e^s`` in the log-level variable.
+    """
+    b = grid.boundaries
+    n = grid.n
+    sub = 8
+    s = np.linspace(0.0, 1.0, sub + 1)
+    pts = b[:-1, None] + np.diff(b)[:, None] * s[None, :]  # (n, sub+1)
+    lm = ell.log(pts.ravel()).reshape(n, sub + 1) + pts
+    finite = np.isfinite(lm)
+    if not np.any(finite):
+        raise DegenerateSupportError("level-set function vanishes on the whole grid")
+    top = np.max(lm[finite])
+    vals = np.zeros(lm.shape)
+    vals[finite] = np.exp(lm[finite] - top)
+    w_simpson = np.array([1, 4, 2, 4, 2, 4, 2, 4, 1], dtype=float)
+    h = np.diff(b) / sub
+    masses = (vals @ w_simpson) * h / 3.0
+    total = masses.sum()
+    if total <= 0.0:
+        raise DegenerateSupportError("all stationary cell masses are zero")
+    return masses / total
 
 
 class TestTGrid:

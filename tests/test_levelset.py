@@ -11,7 +11,7 @@ from scipy.special import lambertw
 
 from slicegap import levelset
 from slicegap.errors import DomainError, EmptyLevelError, NoRootError
-from slicegap.harness import DESK_DIMS
+from slicegap.harness import DESK_DIMS, ExperimentConfig, row_seed
 from slicegap.levelset import (
     canonical_inverse_phi,
     canonical_potential,
@@ -24,7 +24,7 @@ from slicegap.levelset import (
     mode_radius,
     slice_profile,
 )
-from slicegap.samplers import run_t_chain
+from slicegap.samplers import run_t_chain, run_x_chain
 from slicegap.targets import (
     BUILTIN_TAGS,
     RadialFactorization,
@@ -257,6 +257,30 @@ class TestScalarSolver:
                 levels += lts.size
         assert count[0] / levels <= 24
 
+    def test_evaluation_budget_on_chain_steps(self):
+        # the X chains of the desk sweep, 1000 burn-in steps included: solved
+        # from nothing, each level took 21.65 phi + dphi evaluations a step;
+        # bracketed by the chain's ladder, rung solves included, 10.46
+        count = [0]
+
+        def counted(fn):
+            def wrapped(r):
+                count[0] += 1
+                return fn(r)
+            return wrapped
+
+        n, steps = 11_000, 0
+        seed = ExperimentConfig().base_seed
+        for d in DESK_DIMS:
+            for sampler, fac in (("pss", PSS(d)), ("uss", USS())):
+                base = exponential(d)
+                target = RadialTarget(phi=counted(base.phi), dphi=counted(base.dphi),
+                                      dim=d)
+                run_x_chain(target, fac, n, float(max(d - 1, 1)),
+                            row_seed(seed, d, sampler, 0))
+                steps += n
+        assert count[0] / steps <= 12
+
     @pytest.mark.parametrize("base, fac, dphi", [
         (gaussian(4), PSS(4), lambda r: math.nan),
         (volcano(4, 2.0), USS(), lambda r: 0.0 * r),
@@ -295,6 +319,86 @@ class TestScalarSolver:
         # bracket takes about 1040 halvings, far beyond the cap
         with pytest.raises(NoRootError):
             levelset._bisect(lambda x: -1.0, 0.0, 1e-300, 1e300)
+
+
+class TestLadder:
+    """A chain's ladder gives the level intervals of :func:`level_interval`."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(tag=st.sampled_from(sorted(BUILTIN_TAGS)),
+           sampler=st.sampled_from(["pss", "uss"]),
+           d=st.integers(min_value=1, max_value=100),
+           depth=st.floats(min_value=1e-3, max_value=80.0))
+    def test_matches_level_interval_property(self, tag, sampler, d, depth):
+        # depths beyond 64 and within 1/16 of the supremum are off the ladder
+        target = make_builtin(tag, d)
+        fac = PSS(d) if sampler == "pss" else USS()
+        prof = slice_profile(target, fac)
+        log_t = (prof.log_sup if math.isfinite(prof.log_sup) else 0.0) - depth
+        r_lo, r_hi = levelset._ladder(prof)(log_t)
+        want_lo, want_hi = level_interval(prof, log_t)
+        assert r_lo == pytest.approx(want_lo, rel=1e-12, abs=0)
+        assert r_hi == pytest.approx(want_hi, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("depth", [1e-3, 0.03, 0.0624, 64.01, 70.0, 300.0],
+                             ids=["top-cell-1", "top-cell-2", "top-cell-3",
+                                  "below-1", "below-2", "below-3"])
+    def test_off_the_ladder_is_level_interval(self, depth):
+        prof = slice_profile(exponential(5), PSS(5))
+        interval = levelset._ladder(prof)
+        log_t = prof.log_sup - depth
+        assert interval(log_t) == level_interval(prof, log_t)
+
+    def test_finite_cutoff(self):
+        for fac in (PSS(3), USS()):
+            prof = slice_profile(_unit_ball_barrier(), fac)
+            interval = levelset._ladder(prof)
+            for lt in prof.log_sup - np.geomspace(1e-3, 30.0, 80):
+                r_lo, r_hi = interval(float(lt))
+                want_lo, want_hi = level_interval(prof, float(lt))
+                assert r_lo == pytest.approx(want_lo, rel=1e-12, abs=0)
+                assert r_hi == pytest.approx(want_hi, rel=1e-12, abs=0)
+                assert r_hi < 1.0
+
+    def test_nan_derivative_bisects_inside_the_rungs(self):
+        base, fac = gaussian(4), PSS(4)
+        seen = []
+
+        def phi(r):
+            seen.append(r)
+            return base.phi(r)
+
+        prof = _stub_profile(RadialTarget(phi=phi, dphi=lambda r: math.nan, dim=4),
+                             base, fac)
+        ref = slice_profile(base, fac)
+        interval = levelset._ladder(prof)
+        for depth in (0.1, 0.7, 5.03, 40.01):
+            log_t = prof.log_sup - depth
+            interval(log_t)  # solves the rungs on either side
+            seen.clear()
+            r_lo, r_hi = interval(log_t)
+            want_lo, want_hi = level_interval(ref, log_t)
+            assert r_lo == pytest.approx(want_lo, rel=1e-12, abs=0)
+            assert r_hi == pytest.approx(want_hi, rel=1e-12, abs=0)
+            # every evaluation lies between the two rungs' roots
+            k = int((log_t - (prof.log_sup - 64.0)) * 16)
+            (lo0, hi0), (lo1, hi1) = (level_interval(ref, prof.log_sup - 64.0 + j / 16)
+                                      for j in (k, k + 1))
+            assert seen and all(lo0 <= r <= lo1 or hi1 <= r <= hi0 for r in seen)
+
+    def test_lower_root_underflowing_between_rungs(self):
+        # h = r^0.01 e^{-r}: r_lo = 0 (no float below the level) from about
+        # 7.1 below the supremum, so one pair of rungs straddles r_lo = 0
+        prof = slice_profile(exponential(3), RadialFactorization(0.01))
+        interval = levelset._ladder(prof)
+        lows = []
+        for lt in prof.log_sup - np.linspace(6.0, 9.0, 241):
+            r_lo, r_hi = interval(float(lt))
+            want_lo, want_hi = level_interval(prof, float(lt))
+            assert r_lo == pytest.approx(want_lo, rel=1e-12, abs=0)
+            assert r_hi == pytest.approx(want_hi, rel=1e-12, abs=0)
+            lows.append(r_lo)
+        assert lows[0] > 0.0 and lows[-1] == 0.0
 
 
 class TestEllEval:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slicegap.levelset import level_interval, level_set_function, log_h_sup, slice_profile
+from slicegap.levelset import level_interval, level_set_function, slice_profile
 from slicegap.samplers import (
     PiTildeSampler,
     RadialStationarySampler,
@@ -44,7 +44,7 @@ DEPTHS = np.geomspace(1e-6, 100.0, 16)
 
 def _t_chain_gaussian_pss_3():
     target = gaussian(3)
-    sup = log_h_sup(target, PSS(3))
+    sup = slice_profile(target, PSS(3)).log_sup
     return run_t_chain(target, PSS(3), STEPS, sup - 1.0, seed=404).values
 
 
@@ -55,7 +55,7 @@ def _x_step_radii_exponential_uss_5():
 
 def _t_step_levels_gaussian_pss_5():
     target = gaussian(5)
-    levels = log_h_sup(target, PSS(5)) - np.linspace(0.05, 25.0, DRAWS)
+    levels = slice_profile(target, PSS(5)).log_sup - np.linspace(0.05, 25.0, DRAWS)
     return t_step_levels(target, PSS(5), levels, make_rng(606))
 
 
@@ -63,7 +63,7 @@ def _t_step_levels_one_level(target, fac, seed):
     """``REPEATS`` steps from the one level three below the log supremum.
 
     Saved from ``REPEATS`` copies of the level, one step per copy."""
-    s0 = log_h_sup(target, fac) - 3.0
+    s0 = slice_profile(target, fac).log_sup - 3.0
     return t_step_levels(target, fac, s0, make_rng(seed), size=REPEATS)
 
 

@@ -3,6 +3,7 @@
 import ast
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, strategies as st
 from slicegap import harness, samplers
 from slicegap.errors import DomainError
 from slicegap import levelset
-from slicegap.levelset import level_interval, level_set_function, log_h_sup, slice_profile
+from slicegap.levelset import level_interval, level_set_function, slice_profile
 from slicegap.samplers import (
     PiTildeSampler,
     RadialStationarySampler,
@@ -27,6 +28,7 @@ from slicegap.samplers import (
 )
 from slicegap.targets import (
     RadialFactorization,
+    RadialTarget,
     exponential,
     gaussian,
     log_h,
@@ -167,20 +169,20 @@ class TestXChain:
 class TestTChain:
     def test_zero_steps(self):
         target = exponential(3)
-        sup = log_h_sup(target, PSS(3))
+        sup = slice_profile(target, PSS(3)).log_sup
         tr = run_t_chain(target, PSS(3), 0, sup - 1.0, seed=1)
         assert len(tr) == 1
 
     def test_determinism(self):
         target = gaussian(3)
-        sup = log_h_sup(target, PSS(3))
+        sup = slice_profile(target, PSS(3)).log_sup
         a = run_t_chain(target, PSS(3), 40, sup - 2.0, seed=9)
         b = run_t_chain(target, PSS(3), 40, sup - 2.0, seed=9)
         assert np.array_equal(a.values, b.values)
 
     def test_init_outside_support(self):
         target = exponential(3)
-        sup = log_h_sup(target, PSS(3))
+        sup = slice_profile(target, PSS(3)).log_sup
         with pytest.raises(DomainError):
             run_t_chain(target, PSS(3), 5, sup + 1.0, seed=1)
 
@@ -198,7 +200,7 @@ class TestTChain:
     def test_levels_stay_below_sup(self):
         target = exponential(4)
         fac = PSS(4)
-        sup = log_h_sup(target, fac)
+        sup = slice_profile(target, fac).log_sup
         tr = run_t_chain(target, fac, 500, sup - 1.0, seed=4)
         assert np.all(tr.values < sup)
 
@@ -325,6 +327,22 @@ class TestChainsComposeHalfSteps:
         np.testing.assert_allclose(step, s[1:], rtol=0, atol=1e-13)
 
 
+def test_scalar_only_phi_chains_raise_no_warning():
+    # a ladder built with level_bounds would evaluate phi element by element
+    # and warn; both chains solve one level at a time instead
+    target = RadialTarget(phi=lambda r: 0.5 * math.exp(2.0 * math.log(r)), dim=3)
+    fac = PSS(3)
+    sup = slice_profile(target, fac).log_sup
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        r = run_x_chain(target, fac, 300, 1.0, seed=5).values
+        s = run_t_chain(target, fac, 300, sup - 1.0, seed=5).values
+    np.testing.assert_allclose(r, run_x_chain(gaussian(3), fac, 300, 1.0, seed=5).values,
+                               rtol=1e-9)
+    np.testing.assert_allclose(s, run_t_chain(gaussian(3), fac, 300, sup - 1.0,
+                                              seed=5).values, rtol=0, atol=1e-9)
+
+
 def test_uniforms_are_drawn_only_by_open_uniforms():
     """Every call of a Generator draw method in samplers.py (``.random(``,
     ``.standard_normal(``, ...) sits inside ``_open_uniforms``."""
@@ -413,7 +431,7 @@ class TestBroadcasting:
     @pytest.mark.parametrize("fac", [PSS(5), USS()], ids=["pss", "uss"])
     def test_steps_from_one_level_match_full_levels(self, fac):
         target = exponential(5)
-        s0 = log_h_sup(target, fac) - 2.0
+        s0 = slice_profile(target, fac).log_sup - 2.0
         got = t_step_levels(target, fac, s0, make_rng(8), size=500)
         assert got.shape == (500,)
         np.testing.assert_array_equal(
@@ -421,7 +439,7 @@ class TestBroadcasting:
 
     def test_size_is_the_output_shape(self):
         target, fac = gaussian(3), PSS(3)
-        levels = log_h_sup(target, fac) - np.array([0.5, 2.0, 9.0])
+        levels = slice_profile(target, fac).log_sup - np.array([0.5, 2.0, 9.0])
         got = t_step_levels(target, fac, levels, make_rng(9), size=(2, 3))
         assert got.shape == (2, 3)
         np.testing.assert_array_equal(
@@ -430,7 +448,7 @@ class TestBroadcasting:
     @pytest.mark.parametrize("shape, size", [((4,), 3), ((3,), (3, 1)), ((2,), ())])
     def test_levels_that_do_not_broadcast_to_size_rejected(self, shape, size):
         target, fac = gaussian(3), PSS(3)
-        levels = np.full(shape, log_h_sup(target, fac) - 1.0)
+        levels = np.full(shape, slice_profile(target, fac).log_sup - 1.0)
         with pytest.raises(DomainError, match="broadcast"):
             t_step_levels(target, fac, levels, make_rng(10), size=size)
 
@@ -453,7 +471,8 @@ class TestLevelSolvedOnce:
 
     def test_t_step_levels_from_one_level(self, solved):
         target, fac = exponential(5), PSS(5)
-        t_step_levels(target, fac, log_h_sup(target, fac) - 3.0, make_rng(1), size=10_000)
+        s0 = slice_profile(target, fac).log_sup - 3.0
+        t_step_levels(target, fac, s0, make_rng(1), size=10_000)
         assert solved[0] == 1
 
     def test_kernel_mc_check(self, solved, monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from slicegap import targets
 from slicegap.errors import DomainError
 from slicegap.targets import (
     RadialFactorization,
@@ -17,12 +18,39 @@ from slicegap.targets import (
     make_builtin,
     radial_weighted_exponential,
     surface_area,
-    validate_target,
     volcano,
 )
 
 ALL_BUILTINS = [exponential(3), volcano(3, 2.0), gaussian(3),
                 radial_weighted_exponential(3)]
+
+
+def validate_target(target: RadialTarget) -> None:
+    """Numerical consistency checks on a target.
+
+    Verifies that phi is finite on a probe grid inside the support, that
+    phi blows up at a finite cutoff, and that dphi matches a central
+    finite difference of phi to 1e-6 relative error.
+    """
+    hi = target.kappa if math.isfinite(target.kappa) else 50.0
+    probe = np.linspace(hi * 1e-3, hi * 0.99, 64)
+    vals = target.phi_vec(probe)
+    if not np.all(np.isfinite(vals)):
+        raise DomainError("phi is not finite on the interior probe grid")
+    if math.isfinite(target.kappa):
+        # phi must diverge toward the cutoff.
+        deltas = target.kappa * np.array([1e-2, 1e-4, 1e-6, 1e-8])
+        edge = target.phi_vec(target.kappa - deltas)
+        if not (np.all(np.diff(edge) > 0) and edge[-1] > vals.mean() + 10.0):
+            raise DomainError("phi does not diverge at the finite cutoff kappa")
+    fd = targets._finite_difference(target.phi, target.kappa)
+    for r in probe:
+        a = target.dphi(float(r))
+        b = fd(float(r))
+        if abs(a - b) > 1e-6 * (1.0 + abs(b)):
+            raise DomainError(
+                f"dphi inconsistent with finite difference at r={r}: {a} vs {b}"
+            )
 
 
 class TestLogH:
