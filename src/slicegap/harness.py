@@ -33,6 +33,7 @@ from .levelset import (
     slice_profile,
 )
 from .samplers import (
+    _t_step_levels,
     PiTildeSampler,
     RadialStationarySampler,
     run_x_chain,
@@ -279,13 +280,14 @@ def _kernel_mc_check(seed: int) -> list:
     target = make_builtin("exponential", d)
     fac = RadialFactorization.pss(d)
     ell = level_set_function(target, fac)
+    prof = slice_profile(target, fac)
     s_sup = ell.log_support_sup
     probes = np.linspace(s_sup - 8.0, s_sup - 0.5, 10)
     rng = make_rng(seed, 0)
     out = []
     for s0 in probes:
         p_quad = kernelmod.transition_cdf(ell, float(s0), float(s0))
-        s1 = t_step_levels(target, fac, float(s0), rng, size=_KERNEL_MC_DRAWS)
+        s1 = _t_step_levels(prof, float(s0), rng, size=_KERNEL_MC_DRAWS)
         p_mc = float(np.mean(s1 < s0))
         tol = 3.0 * math.sqrt(max(p_quad * (1 - p_quad), 1e-12) / _KERNEL_MC_DRAWS) + 1e-4
         out.append({

@@ -24,8 +24,13 @@ only when asked for.  The spectral gap comes from Lanczos iteration
 (ARPACK through ``scipy.sparse.linalg.eigsh``) on the symmetrized kernel
 with its known top eigenpair ``(1, sqrt(weights))`` projected out, so a
 certificate at n cells costs O(n) memory and O(n) work per iteration.
-``certify_gap`` runs the mass-truncation search once and spans its
-doubled grid over the same levels.
+
+Every value of ``ell`` costs two root solves, so a certificate evaluates
+each level once.  ``build_tgrid`` evaluates one mass window per doubling
+of its depth and compares the window with its own upper half.
+``certify_gap`` builds the 2n grid, takes every other boundary of it as
+the n grid, and assembles both kernels from one evaluation of ``ell`` on
+the 2n grid's refinement, whose every other point refines the n grid.
 """
 
 from __future__ import annotations
@@ -56,6 +61,8 @@ __all__ = [
 
 # certify_gap: largest n-vs-2n gap difference of a converged certificate.
 _REFINEMENT_TOL = 0.005
+# Log-uniform subintervals per grid cell on which ell is evaluated.
+_REFINE = 16
 
 
 @dataclass(frozen=True)
@@ -84,29 +91,29 @@ class TGrid:
 def _mass_window(ell: LevelSetFunction, s_sup: float, depth: float):
     """``ell(e^s) e^s`` on 32768 points of ``[s_sup - depth, s_sup]``.
 
-    Returns the grid, the values divided by their maximum and the log of
-    their trapezoid integral.
+    Returns the grid and the cumulative trapezoid sums ``cum`` of the
+    values divided by their maximum: ``cum[j]`` is proportional to the
+    mass below ``grid[j + 1]``.
     """
     grid = np.linspace(s_sup - depth, s_sup, 1 << 15)
     lm = ell.log(grid) + grid
     finite = np.isfinite(lm)
     vals = np.zeros(grid.shape)
-    if not np.any(finite):
-        return grid, vals, -math.inf
-    top = np.max(lm[finite])
-    vals[finite] = np.exp(lm[finite] - top)
-    return grid, vals, top + math.log(np.trapezoid(vals, dx=grid[1] - grid[0]) + 1e-300)
+    if np.any(finite):
+        vals[finite] = np.exp(lm[finite] - np.max(lm[finite]))
+    return grid, np.cumsum(vals[1:] + vals[:-1])
 
 
 def build_tgrid(ell: LevelSetFunction, n: int = 2048,
                 mass_tol: float = 1e-8) -> TGrid:
     """Log-spaced grid from a mass-truncated lower level up to the support sup.
 
-    The window below the supremum is doubled until the stationary mass it
-    holds stops growing.  The lower boundary is then the highest point of
-    that window with at most ``mass_tol`` of the mass below it, read off
-    the window's cumulative trapezoid sums, so the reported truncation
-    mass never exceeds ``mass_tol``.
+    One window below the supremum is evaluated per doubling of its depth,
+    from 128 up to 131072, until the window's lower half holds less than
+    1e-12 of its stationary mass.  The lower boundary is then the highest
+    point of that window with at most ``mass_tol`` of the mass below it,
+    read off the window's cumulative trapezoid sums, so the reported
+    truncation mass never exceeds ``mass_tol``.
     """
     if n < 1:
         raise DomainError(f"grid size must be at least 1, got {n}")
@@ -114,23 +121,17 @@ def build_tgrid(ell: LevelSetFunction, n: int = 2048,
     if not math.isfinite(s_sup):
         raise DomainError("grid construction requires a finite support supremum")
 
-    depth = 64.0
-    total = _mass_window(ell, s_sup, depth)[2]
-    while True:
-        grid, vals, wider = _mass_window(ell, s_sup, 2 * depth)
-        if wider - total < 1e-12:
-            # cum[j] is proportional to the mass below grid[j + 1]
-            cum = np.cumsum(vals[1:] + vals[:-1])
+    for depth in (2.0**j for j in range(7, 18)):  # 128, 256, ..., 131072
+        grid, cum = _mass_window(ell, s_sup, depth)
+        # the window holds the mass once its lower half adds under 1e-12
+        if cum[grid.size // 2 - 1] < 1e-12 * cum[-1]:
             k = int(np.searchsorted(cum, mass_tol * cum[-1], side="right"))
             if k > 0:
-                break
+                return TGrid(boundaries=np.linspace(grid[k], s_sup, n + 1),
+                             truncation_mass=float(cum[k - 1] / cum[-1]))
             # a single window step holds more than mass_tol: widen
-        total, depth = wider, 2 * depth
-        if depth > 1e5:
-            raise DomainError("stationary mass does not concentrate within "
-                              "mass_tol; cannot build grid")
-    return TGrid(boundaries=np.linspace(grid[k], s_sup, n + 1),
-                 truncation_mass=float(cum[k - 1] / cum[-1]))
+    raise DomainError("stationary mass does not concentrate within "
+                      "mass_tol; cannot build grid")
 
 
 def _flux_matvec(len_cell: np.ndarray, A: np.ndarray, diag: np.ndarray,
@@ -181,23 +182,19 @@ class DiscreteKernel:
         return self.flux / self.weights[:, None]
 
 
-def discretize_pt(ell: LevelSetFunction, grid: TGrid,
-                  refine: int = 16) -> DiscreteKernel:
-    """Assemble the discrete level-chain kernel from ``ell`` alone.
+def _refinement(b: np.ndarray, refine: int) -> np.ndarray:
+    """Each cell of the boundaries ``b`` split into ``refine`` equal steps
+    (cell by cell, the same values np.linspace gives)."""
+    step = np.diff(b) / refine
+    return np.append((b[:-1, None] + np.arange(refine) * step[:, None]).ravel(), b[-1])
 
-    Each grid cell is refined into ``refine`` log-uniform subintervals; the
-    Stieltjes measure is realized as differences of ``ell`` across the
-    refinement and placed at geometric midpoints.  The lowest cell is
-    extended to level 0 so that the kernel's image measure is not
-    truncated.
-    """
+
+def _assemble(grid: TGrid, fine: np.ndarray, lv_log: np.ndarray) -> DiscreteKernel:
+    """The kernel on ``grid`` from ``log ell`` at the refinement points
+    ``fine``, an equal number per cell, which include the boundaries."""
     b = grid.boundaries
     n = grid.n
-    # global refinement boundaries in log t (cell by cell, the same values
-    # np.linspace gives)
-    step = np.diff(b) / refine
-    fine = np.append((b[:-1, None] + np.arange(refine) * step[:, None]).ravel(), b[-1])
-    lv_log = ell.log(fine)
+    refine = (fine.size - 1) // n
     top = np.max(lv_log[np.isfinite(lv_log)])
     lv = np.where(np.isfinite(lv_log), np.exp(lv_log - top), 0.0)
     if np.any(np.diff(lv) > 1e-12 * lv.max()):
@@ -233,6 +230,20 @@ def discretize_pt(ell: LevelSetFunction, grid: TGrid,
     total = w.sum()
     return DiscreteKernel(len_cell=len_cell, A=A / total, diag=2.0 * B / total,
                           weights=w / total, grid=grid)
+
+
+def discretize_pt(ell: LevelSetFunction, grid: TGrid,
+                  refine: int = _REFINE) -> DiscreteKernel:
+    """Assemble the discrete level-chain kernel from ``ell`` alone.
+
+    Each grid cell is refined into ``refine`` log-uniform subintervals; the
+    Stieltjes measure is realized as differences of ``ell`` across the
+    refinement and placed at geometric midpoints.  The lowest cell is
+    extended to level 0 so that the kernel's image measure is not
+    truncated.
+    """
+    fine = _refinement(grid.boundaries, refine)
+    return _assemble(grid, fine, ell.log(fine))
 
 
 @dataclass(frozen=True)
@@ -311,13 +322,19 @@ def certify_gap(ell: LevelSetFunction, n: int = 2048,
                 mass_tol: float = 1e-8) -> GapEstimate:
     """Gap at grid size n with a grid-doubling convergence diagnostic.
 
-    The truncation search runs once; the 2n grid spans the same levels.
+    The truncation search runs once, for the 2n grid; the n grid is every
+    other boundary of it.  ``ell`` is evaluated once, on the 2n grid's
+    16-fold refinement, and the n kernel is assembled from every other
+    one of those values, which refine the n grid 16-fold.
     """
-    grid = build_tgrid(ell, n, mass_tol)
-    b = grid.boundaries
-    grid2 = TGrid(np.linspace(b[0], b[-1], 2 * n + 1), grid.truncation_mass)
-    est = spectral_gap(discretize_pt(ell, grid))
-    est2 = spectral_gap(discretize_pt(ell, grid2))
+    if n < 1:
+        raise DomainError(f"grid size must be at least 1, got {n}")
+    grid2 = build_tgrid(ell, 2 * n, mass_tol)
+    grid = TGrid(grid2.boundaries[::2], grid2.truncation_mass)
+    fine = _refinement(grid2.boundaries, _REFINE)
+    lv_log = ell.log(fine)
+    est = spectral_gap(_assemble(grid, fine[::2], lv_log[::2]))
+    est2 = spectral_gap(_assemble(grid2, fine, lv_log))
     delta = abs(est.gap - est2.gap)
     return replace(est, refinement_delta=delta, converged=delta <= _REFINEMENT_TOL)
 

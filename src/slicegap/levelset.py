@@ -92,11 +92,18 @@ def _deepening(x: float):
 
 def _outward(x, kappa: float):
     """Points beyond ``x`` (a float or an array of them): halving the
-    distance to a finite cutoff ``kappa``, else doubling from ``max(2x, 1)``."""
+    distance to a finite cutoff ``kappa``, else doubling from ``max(2x, 1)``.
+    Toward ``kappa`` the points stop at the largest float below it, so
+    ``kappa`` itself is never among them."""
     if math.isfinite(kappa):
+        last = math.nextafter(kappa, 0.0)
+        clip = np.minimum if isinstance(x, np.ndarray) else min
         gap = kappa - x
         for j in range(1, _MAX_EXPANSIONS):
-            yield kappa - gap * 0.5**j
+            p = clip(kappa - gap * 0.5**j, last)
+            yield p
+            if np.all(p == last):
+                return
     else:
         x = np.maximum(2.0 * x, 1.0) if isinstance(x, np.ndarray) else max(2.0 * x, 1.0)
         for _ in range(_MAX_EXPANSIONS):
@@ -220,6 +227,9 @@ def level_interval(prof: SliceProfile, log_t: float) -> tuple[float, float]:
         if lh(hi) <= log_t:
             u = math.log(hi)
             return r_lo, _newton_scalar(phi, dphi, alpha, log_t, u, math.log(anchor), u)
+    if math.isfinite(target.kappa):
+        # the profile is above the level up to the last float below kappa
+        return r_lo, target.kappa
     raise NoRootError("upper bracket expansion failed; profile does not decay")
 
 
@@ -284,10 +294,20 @@ def _level_bounds_chunk(prof: SliceProfile,
 
     # --- upper endpoint ---------------------------------------------------
     hi, left = _first_crossing(_outward(anchor, target.kappa), below, n)
-    if left.size:
+    if left.size == 0:
+        return r_lo, _newton_log_radius(target, alpha, log_t,
+                                        u_below=np.log(hi), u_above=np.log(anchor))
+    if not math.isfinite(target.kappa):
         raise NoRootError("upper bracket expansion failed; profile does not decay")
-    r_hi = _newton_log_radius(target, alpha, log_t,
-                              u_below=np.log(hi), u_above=np.log(anchor))
+    # For the levels left, the profile is above the level up to the last
+    # float below kappa: r_hi = kappa.
+    r_hi = np.full(n, target.kappa)
+    solve = np.ones(n, dtype=bool)
+    solve[left] = False
+    if np.any(solve):
+        r_hi[solve] = _newton_log_radius(target, alpha, log_t[solve],
+                                         u_below=np.log(hi[solve]),
+                                         u_above=np.log(anchor[solve]))
     return r_lo, r_hi
 
 
@@ -371,13 +391,14 @@ def _ladder(prof: SliceProfile) -> Callable[[float], tuple[float, float]]:
     first time a level next to it comes up.  ``r_lo`` rises with the level
     and ``r_hi`` falls, so the rungs on either side of a level bracket both
     of its roots in ``u = log r``; Newton starts at the linear interpolation
-    between them.  Levels outside the ladder or in its top cell, and those
-    whose lower rung has ``r_lo = 0`` while the upper one does not, take
-    :func:`level_interval`; when both rungs have ``r_lo = 0``, so does the
-    level.
+    between them.  Levels outside the ladder or in its top cell, those
+    whose lower rung has ``r_hi = kappa``, and those whose lower rung has
+    ``r_lo = 0`` while the upper one does not, take :func:`level_interval`;
+    when both rungs have ``r_lo = 0``, so does the level.
     """
     base = prof.log_sup - _RUNGS / _RUNGS_PER_UNIT
     phi, dphi, alpha = prof.target.phi, prof.target.dphi, prof.alpha
+    log_kappa = math.log(prof.target.kappa)
     rungs: list = [None] * _RUNGS
 
     def rung(k: int) -> tuple[float, float]:
@@ -393,6 +414,8 @@ def _ladder(prof: SliceProfile) -> Callable[[float], tuple[float, float]]:
         w = x - k
         lo0, hi0 = rungs[k] or rung(k)
         lo1, hi1 = rungs[k + 1] or rung(k + 1)
+        if hi0 == log_kappa:
+            return level_interval(prof, log_t)
         if lo1 == -math.inf:
             r_lo = 0.0
         elif lo0 == -math.inf:

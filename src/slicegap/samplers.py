@@ -268,14 +268,20 @@ def t_step_levels(target: RadialTarget, fac: RadialFactorization,
     ``t_step_levels(target, fac, s0, rng, size=N)``, which solves that
     level's interval once.
     """
-    prof = slice_profile(target, fac)
+    return _t_step_levels(slice_profile(target, fac), log_t, rng, size)
+
+
+def _t_step_levels(prof: SliceProfile, log_t, rng: np.random.Generator,
+                   size=None) -> np.ndarray:
+    """:func:`t_step_levels` on a solved slice profile."""
     log_t = np.asarray(log_t, dtype=float)
     shape = log_t.shape if size is None else _broadcast_shape(size)
     if _broadcast_shape(log_t.shape, shape) != shape:
         raise DomainError(f"log_t of shape {log_t.shape} does not broadcast "
                           f"to size {shape}")
     r = x_update_radius(prof, log_t, _open_uniforms(rng, shape))
-    return t_update(log_h(target, fac, r), _open_uniforms(rng, shape))
+    fac = RadialFactorization(prof.alpha)
+    return t_update(log_h(prof.target, fac, r), _open_uniforms(rng, shape))
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,24 @@ class TestVerifyGuards:
             discretize_pt(ell, TGrid(boundaries=np.linspace(-4.0, -1e-6, 33)))
 
 
+class TestKernelIdentity:
+    def test_profile_solved_at_most_twice(self, monkeypatch):
+        # once inside level_set_function and once for the ten Monte Carlo
+        # draws; each draw solved its own profile before, 11 in all
+        modes = [0]
+        mode = levelset.mode_radius
+
+        def counted_mode(target, fac):
+            modes[0] += 1
+            return mode(target, fac)
+
+        monkeypatch.setattr(levelset, "mode_radius", counted_mode)
+        monkeypatch.setattr(harness, "_KERNEL_MC_DRAWS", 1000)
+        rows = harness._kernel_mc_check(7)
+        assert len(rows) == 10
+        assert modes[0] <= 2
+
+
 class TestAdjointness:
     def test_pss_exponential(self):
         assert adjointness_check(exponential(3), PSS(3)) <= 1e-6

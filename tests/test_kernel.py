@@ -88,6 +88,17 @@ def stationary_weights(ell: LevelSetFunction, grid: TGrid) -> np.ndarray:
     return masses / total
 
 
+def counting(ell: LevelSetFunction):
+    """``ell`` recording the number of levels of each evaluation, and the
+    list it records into."""
+    sizes = []
+
+    def log_eval(lt):
+        sizes.append(lt.size)
+        return ell.log_eval(lt)
+    return replace(ell, log_eval=log_eval), sizes
+
+
 class TestTGrid:
     def test_boundaries_validation(self):
         with pytest.raises(DomainError):
@@ -118,6 +129,15 @@ class TestTGrid:
         grid = build_tgrid(ell, 64, mass_tol=1e-60)
         assert 0.0 <= grid.truncation_mass <= 1e-60
         assert grid.boundaries[0] < ell.log_support_sup - 128.0
+
+    @pytest.mark.parametrize("mass_tol, windows", [(1e-8, 1), (1e-60, 2)])
+    def test_one_ell_call_per_window(self, mass_tol, windows):
+        # exponential PSS d=5: the 128-deep window holds the mass; one step
+        # of it holds more than 1e-60, so that search widens once
+        ell = level_set_function(exponential(5), PSS(5))
+        counted, sizes = counting(ell)
+        build_tgrid(counted, 64, mass_tol=mass_tol)
+        assert sizes == [1 << 15] * windows
 
     def test_infinite_support_rejected(self):
         # USS on the radial-weighted profile has unbounded h, so no top level
@@ -298,32 +318,27 @@ class TestSpectralGap:
 
     def test_certify_searches_truncation_once(self, monkeypatch):
         ell = level_set_function(exponential(5), PSS(5))
-        calls = [0]
-
-        def counting(lt):
-            calls[0] += 1
-            return ell.log_eval(lt)
-        counted = replace(ell, log_eval=counting)
-
+        counted, sizes = counting(ell)
         grids = []
-        discretize = kernelmod.discretize_pt
+        solve = kernelmod.spectral_gap
 
-        def recording(e, grid, refine=16):
-            grids.append(grid)
-            return discretize(e, grid, refine)
-        monkeypatch.setattr(kernelmod, "discretize_pt", recording)
+        def recording(kernel):
+            grids.append(kernel.grid)
+            return solve(kernel)
+        monkeypatch.setattr(kernelmod, "spectral_gap", recording)
 
-        certify_gap(counted, n=256)
-        certify_calls = calls[0]
-        calls[0] = 0
-        build_tgrid(counted, 256)
-        search_calls = calls[0]
-        calls[0] = 0
-        discretize(counted, grids[0])
-        discretize(counted, grids[1])
-        assert certify_calls == search_calls + calls[0]
-        assert np.array_equal(grids[0].boundaries, build_tgrid(ell, 256).boundaries)
-        assert np.array_equal(grids[1].boundaries, build_tgrid(ell, 512).boundaries)
+        est = certify_gap(counted, n=256)
+        certify_sizes = list(sizes)
+        sizes.clear()
+        build_tgrid(counted, 512)
+        # one truncation search, for the 2n grid, then one evaluation on
+        # the 8193 levels of that grid's 16-fold refinement
+        assert certify_sizes == sizes + [8193]
+        grid, grid2 = grids
+        assert np.array_equal(grid2.boundaries, build_tgrid(ell, 512).boundaries)
+        assert np.array_equal(grid.boundaries, grid2.boundaries[::2])
+        ref = solve(discretize_pt(ell, build_tgrid(ell, 256)))
+        assert abs(est.gap - ref.gap) <= 1e-12
 
     def test_truncation_stability(self):
         ell = level_set_function(exponential(5), PSS(5))

@@ -224,13 +224,22 @@ class TestScalarSolver:
             2.0 / 3.0, rel=0, abs=1e-12)
 
     def test_finite_cutoff_scalar_matches_vectorized(self):
-        prof = slice_profile(_unit_ball_barrier(), PSS(3))
-        lts = prof.log_sup - np.geomspace(1e-4, 25.0, 50)
-        lo, hi = level_bounds(prof, lts)
-        for i, lt in enumerate(lts):
-            r_lo, r_hi = level_interval(prof, float(lt))
-            assert r_lo == pytest.approx(lo[i], rel=0, abs=1e-12)
-            assert r_hi == pytest.approx(hi[i], rel=0, abs=1e-12)
+        # from about 37 below the supremum the upper root 1 - e^{-depth}
+        # lies within one float spacing of kappa = 1, where phi and dphi
+        # are infinite: neither solver may evaluate them there
+        depths = np.concatenate([np.geomspace(1e-4, 25.0, 50), np.linspace(30.0, 60.0, 61)])
+        for fac in (PSS(3), USS()):
+            prof = slice_profile(_unit_ball_barrier(), fac)
+            lts = prof.log_sup - depths
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                lo, hi = level_bounds(prof, lts)
+                for i, lt in enumerate(lts):
+                    r_lo, r_hi = level_interval(prof, float(lt))
+                    assert r_lo == pytest.approx(lo[i], rel=0, abs=1e-12)
+                    assert r_hi == pytest.approx(hi[i], rel=0, abs=1e-12)
+            assert np.all(hi <= 1.0)
+            assert np.all(hi[depths >= 40.0] == 1.0)
 
     def test_evaluation_budget_on_sweep_levels(self):
         # 301 levels of a T chain in each desk sweep cell: the bisection to
@@ -350,15 +359,23 @@ class TestLadder:
         assert interval(log_t) == level_interval(prof, log_t)
 
     def test_finite_cutoff(self):
+        # beyond about 37 below the supremum the rungs' upper roots are
+        # kappa = 1 itself
         for fac in (PSS(3), USS()):
             prof = slice_profile(_unit_ball_barrier(), fac)
             interval = levelset._ladder(prof)
-            for lt in prof.log_sup - np.geomspace(1e-3, 30.0, 80):
-                r_lo, r_hi = interval(float(lt))
-                want_lo, want_hi = level_interval(prof, float(lt))
-                assert r_lo == pytest.approx(want_lo, rel=1e-12, abs=0)
-                assert r_hi == pytest.approx(want_hi, rel=1e-12, abs=0)
-                assert r_hi < 1.0
+            depths = np.geomspace(1e-3, 60.0, 120)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for depth in depths:
+                    lt = float(prof.log_sup - depth)
+                    r_lo, r_hi = interval(lt)
+                    want_lo, want_hi = level_interval(prof, lt)
+                    assert r_lo == pytest.approx(want_lo, rel=1e-12, abs=0)
+                    assert r_hi == pytest.approx(want_hi, rel=1e-12, abs=0)
+                    assert r_hi < 1.0 if depth <= 30.0 else r_hi <= 1.0
+                    if depth >= 40.0:
+                        assert r_hi == 1.0
 
     def test_nan_derivative_bisects_inside_the_rungs(self):
         base, fac = gaussian(4), PSS(4)
