@@ -294,13 +294,10 @@ def _level_bounds_chunk(prof: SliceProfile,
 
     # --- upper endpoint ---------------------------------------------------
     hi, left = _first_crossing(_outward(anchor, target.kappa), below, n)
-    if left.size == 0:
-        return r_lo, _newton_log_radius(target, alpha, log_t,
-                                        u_below=np.log(hi), u_above=np.log(anchor))
-    if not math.isfinite(target.kappa):
+    if left.size and not math.isfinite(target.kappa):
         raise NoRootError("upper bracket expansion failed; profile does not decay")
-    # For the levels left, the profile is above the level up to the last
-    # float below kappa: r_hi = kappa.
+    # Levels left lie below the profile up to the last float below kappa:
+    # r_hi = kappa.
     r_hi = np.full(n, target.kappa)
     solve = np.ones(n, dtype=bool)
     solve[left] = False

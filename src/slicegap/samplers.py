@@ -140,13 +140,16 @@ def x_update_radius(prof: SliceProfile, log_t, u):
     other by numpy rules, and the level intervals are solved only on the
     elements of ``log_t``: a scalar level with an array of ``N`` uniforms
     costs one root solve.  The result has the broadcast shape; two scalars
-    give a float.  ``u`` must lie strictly inside (0, 1).
+    give a float.  ``u`` must lie strictly inside (0, 1).  A draw that
+    rounds up to a finite cutoff ``kappa`` (``r_hi = kappa``, ``u`` next
+    to 1) is the largest float below it, inside the support.
     """
     u = _open_unit(u)
     log_t = np.asarray(log_t, dtype=float)
     _broadcast_shape(log_t.shape, u.shape)  # fail before the solve, not after
     r_lo, r_hi = (r.reshape(log_t.shape) for r in level_bounds(prof, log_t))
-    out = _inverse_cdf_radius_vec(r_lo, r_hi, u, prof.target.dim - prof.alpha)
+    out = np.minimum(_inverse_cdf_radius_vec(r_lo, r_hi, u, prof.target.dim - prof.alpha),
+                     math.nextafter(prof.target.kappa, 0.0))
     if out.ndim == 0:
         return float(out)
     return out
@@ -186,6 +189,8 @@ def _half_steps(target: RadialTarget, fac: RadialFactorization):
     phi = target.phi
     alpha = fac.alpha
     beta = target.dim - alpha
+    kappa = target.kappa
+    r_max = math.nextafter(kappa, 0.0)  # as in x_update_radius
 
     def level(r: float, u: float) -> float:
         return alpha * math.log(r) - phi(r) + math.log(u)
@@ -194,7 +199,8 @@ def _half_steps(target: RadialTarget, fac: RadialFactorization):
 
     def radius(log_t: float, u: float) -> float:
         r_lo, r_hi = interval(log_t)
-        return _inverse_cdf_radius(r_lo, r_hi, u, beta)
+        r = _inverse_cdf_radius(r_lo, r_hi, u, beta)
+        return r if r < kappa else r_max
 
     return level, radius, prof.log_sup
 

@@ -102,6 +102,24 @@ class TestXUpdateRadius:
                 assert vec[i] == pytest.approx(samplers._inverse_cdf_radius(
                     r_lo, r_hi, float(us[i]), 5.0 - fac.alpha), rel=1e-12)
 
+    def test_draw_next_to_one_stays_below_finite_cutoff(self):
+        # 40 below the supremum of phi = -log(1 - r) the level set reaches
+        # r_hi = kappa = 1, and u = 1 - 2^-53 rounds the inverse CDF up to it
+        target = RadialTarget(phi=lambda r: -np.log(1.0 - r),
+                              dphi=lambda r: 1.0 / (1.0 - r), kappa=1.0, dim=3)
+        u = 1.0 - 2.0 ** -53
+        for fac in (PSS(3), USS()):
+            prof = slice_profile(target, fac)
+            log_t = prof.log_sup - 40.0
+            level, radius, _ = samplers._half_steps(target, fac)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                r = radius(log_t, u)
+                vec = x_update_radius(prof, np.array([log_t]), np.array([u]))
+                assert r == vec[0] == math.nextafter(1.0, 0.0)
+                assert math.isfinite(level(r, 0.5))
+                assert np.all(np.isfinite(log_h(target, fac, vec)))
+
     def test_rejects_uniforms_outside_open_interval(self):
         # level interval [0, 2]: u = 0 gave r = 0, outside the support, and
         # u = 1.5 gave 2.289, beyond r_hi
