@@ -13,14 +13,13 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
 import numpy as np
-import scipy.stats
-from scipy.integrate import cumulative_trapezoid, simpson
 
 from .errors import DomainError
 from . import kernel as kernelmod
@@ -65,6 +64,21 @@ IAT_CSV_HEADER = ["d", "sampler", "rep", "seed", "iat", "truncation_lag",
                   "wall_time_ms", "iat_mean", "iat_sd"]
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int if it is an integer (not a float or a string)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _sequence(name: str, values):
+    """``values`` if it is a list or a tuple (not a string or a scalar)."""
+    if not isinstance(values, (list, tuple)):
+        raise DomainError(f"{name} must be a list, got {values!r}")
+    return values
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of a sweep/table/report run."""
@@ -83,8 +97,18 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
-        self.samplers = tuple(str(s).lower() for s in self.samplers)
-        self.dims = tuple(int(d) for d in self.dims)
+        if not isinstance(self.target_params, dict):
+            raise DomainError(f"target_params must be a mapping, got {self.target_params!r}")
+        self.samplers = tuple(str(s).lower() for s in _sequence("samplers", self.samplers))
+        self.dims = tuple(_integer("each dims entry", d) for d in _sequence("dims", self.dims))
+        self.lambda_ks = tuple(_integer("each lambda_ks entry", k)
+                               for k in _sequence("lambda_ks", self.lambda_ks))
+        for name in ("n_it", "n_rep", "base_seed", "grid_size", "ks_sample"):
+            setattr(self, name, _integer(name, getattr(self, name)))
+        if not isinstance(self.mass_tol, (int, float)):
+            raise DomainError(f"mass_tol must be a number, got {self.mass_tol!r}")
+        if not isinstance(self.out, (str, type(None))):
+            raise DomainError(f"out must be a path, got {self.out!r}")
         if not self.dims:
             raise DomainError("dims must be nonempty")
         if any(d < 1 for d in self.dims):
@@ -93,12 +117,12 @@ class ExperimentConfig:
             raise DomainError(f"n_it must be >= 10, got {self.n_it}")
         if self.n_rep < 1:
             raise DomainError("n_rep must be >= 1")
-        if self.target.lower() not in BUILTIN_TAGS:
+        if not isinstance(self.target, str) or self.target.lower() not in BUILTIN_TAGS:
             raise DomainError(f"unknown target tag {self.target!r}")
         for s in self.samplers:
             if s not in ("pss", "uss"):
                 raise DomainError(f"unknown sampler {s!r} (expected 'pss' or 'uss')")
-        if any(int(k) < 1 for k in self.lambda_ks):
+        if any(k < 1 for k in self.lambda_ks):
             raise DomainError("lambda_ks entries must be positive integers")
 
     @staticmethod
@@ -231,7 +255,7 @@ def check_lambda(config: ExperimentConfig) -> list:
             fac = _factorization(s, d)
             ell = level_set_function(target, fac)
             for k in config.lambda_ks:
-                report = lambda_k_check(ell, int(k))
+                report = lambda_k_check(ell, k)
                 out.append({"target": config.target, "alpha": fac.alpha,
                             "d": d, **report.to_dict()})
     return out
@@ -240,6 +264,17 @@ def check_lambda(config: ExperimentConfig) -> list:
 # ---------------------------------------------------------------------------
 # Verification suite
 # ---------------------------------------------------------------------------
+
+def _ks_statistic(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic ``max |F_a - F_b|``, computed
+    from integer ECDF counts so that it is exactly ``h / lcm(n_a, n_b)``."""
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    g = math.gcd(a.size, b.size)
+    diff = (np.searchsorted(a, pooled, side="right") * (b.size // g)
+            - np.searchsorted(b, pooled, side="right") * (a.size // g))
+    return int(np.max(np.abs(diff))) / (a.size // g * b.size)
+
 
 def _ks_checks(config: ExperimentConfig, dims, seed: int) -> list:
     """One-step stationarity KS tests for the X- and T-chains."""
@@ -257,13 +292,13 @@ def _ks_checks(config: ExperimentConfig, dims, seed: int) -> list:
             r0 = radial.sample(rng, n)
             r1 = x_step_radii(target, fac, r0, rng)
             r_ref = radial.sample(rng, n)
-            ks_x = scipy.stats.ks_2samp(r1, r_ref).statistic
+            ks_x = _ks_statistic(r1, r_ref)
             ell = level_set_function(target, fac)
             pit = PiTildeSampler(ell)
             s0 = pit.sample(rng, n)
             s1 = t_step_levels(target, fac, s0, rng)
             s_ref = pit.sample(rng, n)
-            ks_t = scipy.stats.ks_2samp(s1, s_ref).statistic
+            ks_t = _ks_statistic(s1, s_ref)
             for label, stat in (("x_chain", ks_x), ("t_chain", ks_t)):
                 results.append({
                     "check": "ks_stationarity", "chain": label,
@@ -317,6 +352,7 @@ def adjointness_check(target, fac) -> float:
     (g, h) pair of the fixed test functions; the residual is normalized by
     the product of the function norms.
     """
+    from scipy.integrate import cumulative_trapezoid, simpson
     d = target.dim
     alpha = fac.alpha
     beta = d - alpha

@@ -41,7 +41,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import DegenerateSupportError, DomainError, InvalidLevelSetError
 from .levelset import LevelSetFunction
@@ -286,6 +285,7 @@ def spectral_gap(kernel: DiscreteKernel) -> GapEstimate:
     Lanczos runs on ``S`` with that pair projected out, from a fixed start
     vector, so the result is a deterministic function of the kernel.
     """
+    from scipy.sparse.linalg import LinearOperator, eigsh
     sq = np.sqrt(kernel.weights)
     n = sq.size
     if n < 2:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 
@@ -147,6 +146,7 @@ def surface_area(d: int) -> float:
 
 def log_surface_area(d: int) -> float:
     """Log of the surface measure of S^{d-1}; safe for large d."""
+    from scipy.special import gammaln
     if d < 1 or d != int(d):
         raise DomainError(f"d must be a positive integer, got {d}")
     return math.log(2.0) + 0.5 * d * math.log(math.pi) - gammaln(0.5 * d)

@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slicegap
 from slicegap import harness, levelset
 from slicegap.cli import main
 from slicegap.errors import DomainError
@@ -50,6 +55,10 @@ class TestConfig:
             ExperimentConfig(samplers=("metropolis",))
         with pytest.raises(DomainError):
             ExperimentConfig(lambda_ks=(0,))
+        with pytest.raises(DomainError):
+            ExperimentConfig(dims=(2.5,))
+        with pytest.raises(DomainError):
+            ExperimentConfig(lambda_ks=(1.5,))
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "config.json"
@@ -188,6 +197,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'exponential'" in err and "foo" in err
 
+    def test_non_integral_entries_exit_code(self, tmp_path, capsys):
+        # int() used to truncate these to d = 2 and k = 1 and exit 0
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"dims": [2.5], "lambda_ks": [1.5]}))
+        assert main(["check-lambda", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2.5" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("target_params", [1]),
+        ("n_it", "100"),
+        ("grid_size", 100.5),
+        ("samplers", "pss"),
+        ("base_seed", 1.5),
+        ("target", 5),
+        ("mass_tol", "1e-8"),
+        ("out", ["gaps.json"]),
+    ])
+    def test_mistyped_config_exit_code(self, tmp_path, capsys, key, value):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"dims": [2], key: value}))
+        assert main(["gap-table", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+
     def test_flag_not_read_by_subcommand_is_rejected(self, capsys):
         # verify builds no gap table, so it takes no grid size
         with pytest.raises(SystemExit) as exc:
@@ -217,6 +251,57 @@ class TestVerifyGuards:
                                limit_L=math.inf, label="corrupted")
         with pytest.raises(InvalidLevelSetError):
             discretize_pt(ell, TGrid(boundaries=np.linspace(-4.0, -1e-6, 33)))
+
+
+class TestKsStatistic:
+    @staticmethod
+    def _pairs(sizes, seed):
+        rng = np.random.default_rng(seed)
+        for i, (na, nb) in enumerate(sizes):
+            if i % 2:   # few distinct values, so both samples have ties
+                yield (rng.integers(0, 40, na).astype(float),
+                       rng.integers(0, 40, nb).astype(float) + 0.5 * (i % 4 == 1))
+            else:
+                yield rng.normal(size=na), 1.05 * rng.normal(size=nb)
+
+    def test_bitwise_scipy_exact_mode(self):
+        import scipy.stats
+        sizes = [(1, 1), (1, 7), (50, 50), (99, 1000), (1000, 999), (3000, 4500),
+                 (10_000, 10_000), (10_000, 9_973), (7, 10_000), (2048, 6144)]
+        for a, b in self._pairs(sizes, seed=1):
+            ours = harness._ks_statistic(a, b)
+            assert ours == scipy.stats.ks_2samp(a, b).statistic
+            assert ours == harness._ks_statistic(b, a)
+
+    def test_scipy_asymptotic_mode(self):
+        # above 10,000 draws scipy takes the float ECDF difference instead
+        # of the lattice value; the two agree to rounding
+        import scipy.stats
+        sizes = [(10_001, 10_001), (20_000, 12_345), (500, 30_000), (15_000, 15_002)]
+        for a, b in self._pairs(sizes, seed=2):
+            ours = harness._ks_statistic(a, b)
+            assert abs(ours - scipy.stats.ks_2samp(a, b).statistic) <= 1e-15
+
+
+class TestScipyLoadedOnUse:
+    def test_sweep_loads_no_scipy(self):
+        # the flat-IAT sweep needs nothing from scipy, and a certificate
+        # loads only its eigensolver and gammaln, not scipy.stats
+        code = (
+            "import sys\n"
+            "import slicegap, slicegap.cli\n"
+            "from slicegap import ExperimentConfig, iat_sweep\n"
+            "iat_sweep(ExperimentConfig(dims=(2,), n_it=200, n_rep=1))\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+            "from slicegap import RadialFactorization, certify_gap, exponential, level_set_function\n"
+            "ell = level_set_function(exponential(3), RadialFactorization.pss(3))\n"
+            "certify_gap(ell, n=64)\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        src = str(Path(slicegap.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout.splitlines()
+        assert out == ["[]", "False"]
 
 
 class TestKernelIdentity:
