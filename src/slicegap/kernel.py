@@ -66,7 +66,7 @@ _REFINE = 16
 
 @dataclass(frozen=True)
 class TGrid:
-    """Log-level grid: n+1 increasing boundaries with cell log-midpoints."""
+    """Log-level grid: n+1 increasing boundaries."""
 
     boundaries: np.ndarray  # log-t values, strictly increasing
     truncation_mass: float = 0.0
@@ -80,11 +80,6 @@ class TGrid:
     @property
     def n(self) -> int:
         return self.boundaries.size - 1
-
-    @property
-    def nodes(self) -> np.ndarray:
-        b = self.boundaries
-        return 0.5 * (b[:-1] + b[1:])
 
 
 def _mass_window(ell: LevelSetFunction, s_sup: float, depth: float):

@@ -11,18 +11,21 @@ monotone branches, evaluates the generalized level-set function
 and checks the decreasing-function class whose k-th member certifies a
 spectral gap of at least 1/(k+1) for the associated sampler.
 
-Every root is bracketed by the same searches (toward 0 by halving, or
-below the mode by doubling the depth in ``log r``; outward toward a finite
-cutoff or by doubling), for one level or an array of levels.  The profile
-mode and the canonical comparator's potential are solved by one bisection,
-``_bisect``; level endpoints by a safeguarded Newton iteration in ``log r``
-that takes the same steps for one level (``level_interval``) and for an
-array (``level_bounds``).
+Every root is bracketed by one copy of each bracket search (toward 0 by
+halving, or below the mode by doubling the depth in ``log r``; outward
+toward a finite cutoff or by doubling), run on one point at a time by
+``mode_radius``, ``level_interval`` and ``canonical_potential``.  The
+profile mode and the canonical comparator's potential are solved by one
+bisection, ``_bisect``; level endpoints by a safeguarded Newton iteration
+in ``log r``.
 
-A chain visits many nearby levels of one profile, so ``_ladder`` keeps the
-intervals of a fixed ladder of levels below the supremum, each solved by
-``level_interval`` the first time it is needed.  The two rungs around a
-level bracket both of its endpoints, and Newton starts between them.
+Many levels of one profile are bracketed by rungs: levels solved by
+``level_interval``.  ``r_lo`` rises with the level and ``r_hi`` falls, so
+the two rungs around a level bracket both of its endpoints, and Newton
+starts between them.  ``level_bounds`` picks the rungs of an array of
+levels among the levels themselves and solves the levels between them as
+one array; a chain's ``_ladder`` keeps a fixed ladder of levels below the
+supremum, each solved the first time the chain comes next to it.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ __all__ = [
 _MAX_EXPANSIONS = 200
 # Levels per level_bounds chunk; keeps the solver's working arrays small.
 _CHUNK = 1 << 13
+# Rungs per level_bounds chunk: its levels solved by level_interval, whose
+# roots bracket the chunk's other levels.
+_CHUNK_RUNGS = 16
 # Chain ladders: rungs per unit of log level, and rungs in all; the ladder
 # spans the 64 units of log level below the profile supremum.
 _RUNGS_PER_UNIT = 16
@@ -90,22 +96,21 @@ def _deepening(x: float):
         yield a
 
 
-def _outward(x, kappa: float):
-    """Points beyond ``x`` (a float or an array of them): halving the
-    distance to a finite cutoff ``kappa``, else doubling from ``max(2x, 1)``.
-    Toward ``kappa`` the points stop at the largest float below it, so
-    ``kappa`` itself is never among them."""
+def _outward(x: float, kappa: float):
+    """Points beyond ``x``: halving the distance to a finite cutoff
+    ``kappa``, else doubling from ``max(2x, 1)``.  Toward ``kappa`` the
+    points stop at the largest float below it, so ``kappa`` itself is never
+    among them."""
     if math.isfinite(kappa):
         last = math.nextafter(kappa, 0.0)
-        clip = np.minimum if isinstance(x, np.ndarray) else min
         gap = kappa - x
         for j in range(1, _MAX_EXPANSIONS):
-            p = clip(kappa - gap * 0.5**j, last)
+            p = min(kappa - gap * 0.5**j, last)
             yield p
-            if np.all(p == last):
+            if p == last:
                 return
     else:
-        x = np.maximum(2.0 * x, 1.0) if isinstance(x, np.ndarray) else max(2.0 * x, 1.0)
+        x = max(2.0 * x, 1.0)
         for _ in range(_MAX_EXPANSIONS):
             yield x
             x = 2.0 * x
@@ -193,7 +198,10 @@ def slice_profile(target: RadialTarget, fac: RadialFactorization) -> SliceProfil
 
 def level_interval(prof: SliceProfile, log_t: float) -> tuple[float, float]:
     """``(r_lo, r_hi)`` solving ``log_h(r) = log_t`` on both branches of the
-    profile: :func:`level_bounds` on one level."""
+    profile.  Each root is bracketed by a search from the mode (or, for a
+    non-increasing profile, from an anchor above the level found by halving
+    toward 0), then solved by the safeguarded Newton iteration in
+    ``log r`` (``_newton_scalar``), started at the search's last point."""
     if not log_t < prof.log_sup:
         raise EmptyLevelError(
             f"log_t={log_t} is not below the profile supremum {prof.log_sup}"
@@ -236,13 +244,16 @@ def level_interval(prof: SliceProfile, log_t: float) -> tuple[float, float]:
 def level_bounds(prof: SliceProfile, log_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`level_interval` over an array of log levels.
 
-    Brackets each endpoint with the searches of :func:`level_interval`,
-    then solves in ``u = log r`` with the same safeguarded Newton
-    iteration, which stops on a tolerance.  Levels are processed in chunks
-    of ``_CHUNK`` so that the working arrays stay small.
+    Levels are processed in chunks of ``_CHUNK`` so that the working arrays
+    stay small.  In each chunk up to ``_CHUNK_RUNGS`` distinct levels at
+    evenly spaced quantiles, its lowest and highest level among them, are
+    rungs solved by :func:`level_interval`.  Every other level is solved
+    between the roots of the two rungs around it, all at once, by the
+    safeguarded Newton iteration in ``u = log r`` that stops on a
+    tolerance, with the rung-pair rules of :func:`_ladder`.
     """
     log_t = np.asarray(log_t, dtype=float).ravel()
-    if np.any(log_t >= prof.log_sup):
+    if not np.all(log_t < prof.log_sup):
         raise EmptyLevelError("some levels are not below the profile supremum")
     r_lo = np.empty(log_t.size)
     r_hi = np.empty(log_t.size)
@@ -252,81 +263,56 @@ def level_bounds(prof: SliceProfile, log_t: np.ndarray) -> tuple[np.ndarray, np.
     return r_lo, r_hi
 
 
-def _first_crossing(points, crossed, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run a bracket search for ``n`` levels at once: per level, the first
-    of ``points`` (floats, or arrays over the levels) at which
-    ``crossed(r, idx)`` holds for the levels ``idx`` still searching.
-    Returns those points and the indices of the levels that never crossed."""
-    at = np.empty(n)
-    idx = np.arange(n)
-    for p in points:
-        at[idx] = p[idx] if isinstance(p, np.ndarray) else p
-        idx = idx[~crossed(at[idx], idx)]
-        if idx.size == 0:
-            break
-    return at, idx
-
-
 def _level_bounds_chunk(prof: SliceProfile,
                         log_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    target, alpha, r_mode = prof.target, prof.alpha, prof.r_mode
-    n = log_t.size
-    lh = lambda r: alpha * np.log(r) - target.phi_vec(r)
-    below = lambda r, idx: lh(r) <= log_t[idx]
-
-    # --- lower endpoint and anchor for the upper branch ------------------
-    r_lo = np.zeros(n)
-    if r_mode == 0.0:
-        anchor, left = _first_crossing(_halvings(min(1.0, 0.5 * target.kappa)),
-                                       lambda r, idx: lh(r) >= log_t[idx], n)
-        if left.size:
-            raise NoRootError("lower anchor search failed; profile never reaches the level")
-    else:
-        anchor = np.full(n, r_mode)
-        a, left = _first_crossing(_deepening(r_mode), below, n)
-        # Levels left lie above the level down to the float floor: r_lo = 0.
-        solve = np.ones(n, dtype=bool)
-        solve[left] = False
-        if np.any(solve):
-            u_mode = np.full(int(solve.sum()), math.log(r_mode))
-            r_lo[solve] = _newton_log_radius(target, alpha, log_t[solve],
-                                             u_below=np.log(a[solve]), u_above=u_mode)
-
-    # --- upper endpoint ---------------------------------------------------
-    hi, left = _first_crossing(_outward(anchor, target.kappa), below, n)
-    if left.size and not math.isfinite(target.kappa):
-        raise NoRootError("upper bracket expansion failed; profile does not decay")
-    # Levels left lie below the profile up to the last float below kappa:
-    # r_hi = kappa.
-    r_hi = np.full(n, target.kappa)
-    solve = np.ones(n, dtype=bool)
-    solve[left] = False
-    if np.any(solve):
-        r_hi[solve] = _newton_log_radius(target, alpha, log_t[solve],
-                                         u_below=np.log(hi[solve]),
-                                         u_above=np.log(anchor[solve]))
+    levels = np.unique(log_t)
+    pick = np.linspace(0, levels.size - 1, min(levels.size, _CHUNK_RUNGS))
+    rung_t = levels[pick.round().astype(int)]
+    rungs = np.array([level_interval(prof, t) for t in rung_t.tolist()])
+    # Each level takes the interval of the rung at or above it: its own, or
+    # the r_lo = 0 and r_hi = kappa that hold below a rung with them.
+    j = np.searchsorted(rung_t, log_t)
+    r_lo, r_hi = rungs[j].T
+    mid = np.flatnonzero(rung_t[j] != log_t)
+    j, lt = j[mid], log_t[mid]
+    with np.errstate(divide="ignore"):
+        u = np.log(rungs)
+    (lo0, hi0), (lo1, hi1) = u[j - 1].T, u[j].T
+    w = (lt - rung_t[j - 1]) / (rung_t[j] - rung_t[j - 1])
+    log_kappa = math.log(prof.target.kappa)
+    # Rungs that straddle r_lo = 0 or r_hi = kappa bracket nothing there.
+    straddle = (lo0 == -math.inf) & (lo1 > -math.inf) | (hi0 == log_kappa) & (hi1 < log_kappa)
+    for i in mid[straddle].tolist():
+        r_lo[i], r_hi[i] = level_interval(prof, float(log_t[i]))
+    # Newton between the rungs' roots, started at their interpolation, on
+    # each endpoint that the rung above has not answered.
+    for r, a, b in ((r_lo, lo0, lo1), (r_hi, hi0, hi1)):
+        s = ~straddle & (-math.inf < b) & (b < log_kappa)
+        r[mid[s]] = _newton_log_radius(prof.target, prof.alpha, lt[s], a[s], b[s],
+                                       a[s] + w[s] * (b[s] - a[s]))
     return r_lo, r_hi
 
 
 def _newton_log_radius(target: RadialTarget, alpha: float, log_t: np.ndarray,
-                       u_below: np.ndarray, u_above: np.ndarray) -> np.ndarray:
-    """Root of ``g(u) = alpha u - phi(e^u) - log_t`` inside each bracket.
+                       u_below: np.ndarray, u_above: np.ndarray,
+                       u: np.ndarray) -> np.ndarray:
+    """Root of ``g(u) = alpha u - phi(e^u) - log_t`` inside each bracket,
+    started at ``u`` inside it.
 
     ``g(u_below) <= 0 < g(u_above)``; the ends may be in either order.  A
     Newton step with ``g'(u) = alpha - r phi'(r)`` is taken when it stays
     inside the bracket and is shorter than half the step before last,
     otherwise a bisection step (Press et al., Numerical Recipes, rtsafe).
     The halving rule keeps near-double roots next to the profile mode from
-    oscillating.  The iteration starts at ``u_below``: for a log-concave
-    profile g is concave in u, so Newton steps from there approach the
-    root from one side without overshooting.  An element stops once its
-    step, which after a bisection is half its bracket, is within
-    ``_U_TOL * max(|u|, 1)``.  Returns the radii ``e^u``.
+    oscillating.  An element stops once its step, which after a bisection
+    is half its bracket, is within ``_U_TOL * max(|u|, 1)``.  Returns the
+    radii ``e^u``; an empty selection returns at once.
     """
     out = np.empty(log_t.size)
+    if not log_t.size:
+        return out
     idx = np.arange(log_t.size)
     lt, xb, xa = log_t, u_below, u_above
-    u = xb
     dx = dxold = np.abs(xa - xb)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_EXPANSIONS):
@@ -388,14 +374,16 @@ def _ladder(prof: SliceProfile) -> Callable[[float], tuple[float, float]]:
     first time a level next to it comes up.  ``r_lo`` rises with the level
     and ``r_hi`` falls, so the rungs on either side of a level bracket both
     of its roots in ``u = log r``; Newton starts at the linear interpolation
-    between them.  Levels outside the ladder or in its top cell, those
-    whose lower rung has ``r_hi = kappa``, and those whose lower rung has
-    ``r_lo = 0`` while the upper one does not, take :func:`level_interval`;
-    when both rungs have ``r_lo = 0``, so does the level.
+    between them.  The rung-pair rules, which :func:`level_bounds` follows
+    too: where the upper rung has ``r_lo = 0`` so does the level, and where
+    it has ``r_hi = kappa`` so does the level; a level whose rungs straddle
+    ``r_lo = 0`` or ``r_hi = kappa`` takes :func:`level_interval`, as do
+    levels outside the ladder or in its top cell.
     """
     base = prof.log_sup - _RUNGS / _RUNGS_PER_UNIT
     phi, dphi, alpha = prof.target.phi, prof.target.dphi, prof.alpha
-    log_kappa = math.log(prof.target.kappa)
+    kappa = prof.target.kappa
+    log_kappa = math.log(kappa)
     rungs: list = [None] * _RUNGS
 
     def rung(k: int) -> tuple[float, float]:
@@ -411,14 +399,14 @@ def _ladder(prof: SliceProfile) -> Callable[[float], tuple[float, float]]:
         w = x - k
         lo0, hi0 = rungs[k] or rung(k)
         lo1, hi1 = rungs[k + 1] or rung(k + 1)
-        if hi0 == log_kappa:
+        if lo0 == -math.inf < lo1 or hi0 == log_kappa > hi1:
             return level_interval(prof, log_t)
         if lo1 == -math.inf:
             r_lo = 0.0
-        elif lo0 == -math.inf:
-            return level_interval(prof, log_t)
         else:
             r_lo = _newton_scalar(phi, dphi, alpha, log_t, lo0, lo1, lo0 + w * (lo1 - lo0))
+        if hi1 == log_kappa:
+            return r_lo, kappa
         return r_lo, _newton_scalar(phi, dphi, alpha, log_t, hi0, hi1, hi0 + w * (hi1 - hi0))
 
     return interval

@@ -1,7 +1,9 @@
 """Tests for level intervals, the level-set function and class membership."""
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from slicegap.levelset import (
     mode_radius,
     slice_profile,
 )
-from slicegap.samplers import run_t_chain, run_x_chain
+from slicegap.samplers import run_t_chain, run_x_chain, x_update_radius
 from slicegap.targets import (
     BUILTIN_TAGS,
     RadialFactorization,
@@ -85,6 +87,18 @@ class TestLevelInterval:
         with pytest.raises(EmptyLevelError):
             level_interval(prof, prof.log_sup + 1.0)
 
+    def test_nan_level_is_empty(self):
+        # NaN is not below the supremum: on the barrier level_bounds used to
+        # return (0, kappa) for it, on an infinite cutoff raise NoRootError
+        for prof in (slice_profile(_unit_ball_barrier(), PSS(3)),
+                     slice_profile(exponential(3), PSS(3))):
+            with pytest.raises(EmptyLevelError):
+                level_interval(prof, math.nan)
+            with pytest.raises(EmptyLevelError):
+                level_bounds(prof, np.array([prof.log_sup - 1.0, math.nan]))
+            with pytest.raises(EmptyLevelError):
+                x_update_radius(prof, math.nan, 0.5)
+
     def test_round_trip(self):
         # both endpoints must return to the queried level
         for target, fac in [(exponential(5), PSS(5)),
@@ -119,6 +133,12 @@ class TestLevelInterval:
             assert hi[i] == pytest.approx(r_hi, rel=1e-10)
 
 
+# Depths below the supremum: more levels than a level_bounds chunk has
+# rungs, so that most are solved between two rungs.
+_MANY_DEPTHS = np.concatenate([[1e-3, 0.5, 3.0, 5.0, 12.0, 40.0],
+                               np.geomspace(1e-3, 40.0, 3 * levelset._CHUNK_RUNGS)])
+
+
 def _stub_profile(target, base, fac):
     """The profile of ``target`` with the mode and supremum solved on ``base``."""
     prof = slice_profile(base, fac)
@@ -138,7 +158,7 @@ class TestVectorizedSolver:
         log_t = (prof.log_sup if math.isfinite(prof.log_sup) else 0.0) - depth
         r_lo, r_hi = level_interval(prof, log_t)
         lo, hi = level_bounds(prof, np.array([log_t]))
-        # both forms take the same Newton steps in log r
+        # a single level is its own rung, solved by level_interval itself
         assert lo[0] == pytest.approx(r_lo, rel=1e-12, abs=0)
         assert hi[0] == pytest.approx(r_hi, rel=1e-12, abs=0)
 
@@ -183,7 +203,7 @@ class TestVectorizedSolver:
         stub = RadialTarget(phi=base.phi, dphi=lambda r: np.full(np.shape(r), np.nan),
                             dim=4)
         prof = _stub_profile(stub, base, fac)
-        lts = prof.log_sup - np.array([1e-3, 0.5, 5.0, 40.0])
+        lts = prof.log_sup - _MANY_DEPTHS
         lo, hi = level_bounds(prof, lts)
         lo_ref, hi_ref = level_bounds(slice_profile(base, fac), lts)
         np.testing.assert_allclose(lo, lo_ref, rtol=1e-12)
@@ -203,12 +223,12 @@ class TestVectorizedSolver:
         target = RadialTarget(phi=lambda r: 0.5 * r * r, dim=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            self._check_against_scalar(target, PSS(3), [1e-3, 0.5, 3.0, 12.0])
+            self._check_against_scalar(target, PSS(3), _MANY_DEPTHS)
 
     def test_scalar_only_phi_warns_and_solves(self):
         target = RadialTarget(phi=lambda r: 0.5 * math.exp(2.0 * math.log(r)), dim=3)
         with pytest.warns(RuntimeWarning, match="element by element"):
-            self._check_against_scalar(target, PSS(3), [0.5, 3.0, 12.0])
+            self._check_against_scalar(target, PSS(3), _MANY_DEPTHS)
 
 
 def _unit_ball_barrier():
@@ -314,9 +334,12 @@ class TestScalarSolver:
             RadialTarget(phi=lambda r: -math.log(1.0 - r), kappa=1.0, dim=2), USS())
         _, r_hi = level_interval(barrier, -20.0)
         assert r_hi == pytest.approx(-math.expm1(-20.0), rel=1e-12, abs=0)
+        # one level is one scalar solve: levels between rungs are what run
+        # the vector Newton iteration and its finite-difference dphi
+        lts = np.append(np.linspace(-21.0, -19.0, 3 * levelset._CHUNK_RUNGS), -20.0)
         with pytest.warns(RuntimeWarning, match="element by element"):
-            _, hi = level_bounds(barrier, np.array([-20.0]))
-        assert hi[0] == pytest.approx(-math.expm1(-20.0), rel=1e-12, abs=0)
+            _, hi = level_bounds(barrier, lts)
+        np.testing.assert_allclose(hi, -np.expm1(lts), rtol=1e-12, atol=0)
         # 2 log r - r^2/2 at 40 below its supremum: root from mpmath
         quadratic = slice_profile(
             RadialTarget(phi=lambda r: 0.5 * math.exp(2.0 * math.log(r)), dim=3), PSS(3))
@@ -416,6 +439,101 @@ class TestLadder:
             assert r_hi == pytest.approx(want_hi, rel=1e-12, abs=0)
             lows.append(r_lo)
         assert lows[0] > 0.0 and lows[-1] == 0.0
+
+
+def _across(target, fac, top, bottom):
+    """More levels than a level_bounds chunk holds, shuffled, at depths from
+    ``top`` to ``bottom`` below the profile supremum (below 0 if infinite)."""
+    prof = slice_profile(target, fac)
+    depths = np.random.default_rng(0).permutation(
+        np.geomspace(top, bottom, levelset._CHUNK + 3 * levelset._CHUNK_RUNGS))
+    return prof, (prof.log_sup if math.isfinite(prof.log_sup) else 0.0) - depths
+
+
+class TestRungs:
+    """``level_bounds`` solves a chunk's levels between rungs solved by
+    :func:`level_interval`, and gives its intervals to rel 1e-12."""
+
+    def _check(self, prof, lts):
+        lo, hi = level_bounds(prof, lts)
+        want_lo, want_hi = np.array([level_interval(prof, lt) for lt in lts.tolist()]).T
+        np.testing.assert_allclose(lo, want_lo, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(hi, want_hi, rtol=1e-12, atol=0)
+        return lo, hi
+
+    @pytest.mark.parametrize("sampler", ["pss", "uss"])
+    @pytest.mark.parametrize("tag", sorted(BUILTIN_TAGS))
+    def test_builtin_targets(self, tag, sampler):
+        # from 0.05 below the supremum: nearer, see the next test
+        fac = PSS(5) if sampler == "pss" else USS()
+        self._check(*_across(make_builtin(tag, 5), fac, 0.05, 60.0))
+
+    def test_radial_weighted_pss_near_the_supremum(self):
+        # h = e^{-r}, evaluated as 4 log r - (r + 4 log r): within 0.05 of
+        # the supremum its rounding, of the order of 4 |log r| ulp, moves
+        # the root r_hi = -log t by up to 1.7e-12 relative for either
+        # solver, so both are held to the exact root, not to each other
+        prof, lts = _across(radial_weighted_exponential(5), PSS(5), 1e-3, 0.05)
+        lo, hi = level_bounds(prof, lts)
+        want_lo, want_hi = np.array([level_interval(prof, lt) for lt in lts.tolist()]).T
+        for got_lo, got_hi in ((lo, hi), (want_lo, want_hi)):
+            assert np.all(got_lo == 0.0)
+            np.testing.assert_allclose(got_hi, -lts, rtol=3e-12, atol=0)
+
+    def test_volcano_uss_across_the_origin(self):
+        # h(0) = e^{-4} lies 4 below the supremum: r_lo = 0 below it
+        lo, _ = self._check(*_across(volcano(4, 2.0), USS(), 3.0, 5.0))
+        assert np.any(lo == 0.0) and np.any(lo > 0.0)
+
+    def test_barrier_across_the_cutoff(self):
+        # from about 37 below the supremum r_hi = kappa = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, hi = self._check(*_across(_unit_ball_barrier(), PSS(3), 30.0, 45.0))
+        assert np.any(hi == 1.0) and np.any(hi < 1.0)
+
+    def test_lower_root_underflow(self):
+        # h = r^0.01 e^{-r}: r_lo = 0 from about 7.1 below the supremum
+        lo, _ = self._check(*_across(exponential(3), RadialFactorization(0.01), 6.0, 9.0))
+        assert np.any(lo == 0.0) and np.any(lo > 0.0)
+
+    def test_one_level_is_one_scalar_solve(self, monkeypatch):
+        prof = slice_profile(exponential(5), PSS(5))
+        want = level_interval(prof, prof.log_sup - 2.0)
+        calls = {"level_interval": 0, "phi_vec": 0}
+        solve, phi_vec = levelset.level_interval, RadialTarget.phi_vec
+
+        def counted_solve(prof, log_t):
+            calls["level_interval"] += 1
+            return solve(prof, log_t)
+
+        def counted_phi_vec(self, r):
+            calls["phi_vec"] += 1
+            return phi_vec(self, r)
+
+        monkeypatch.setattr(levelset, "level_interval", counted_solve)
+        monkeypatch.setattr(RadialTarget, "phi_vec", counted_phi_vec)
+        for size in (1, 100):
+            calls.update(level_interval=0, phi_vec=0)
+            lo, hi = level_bounds(prof, np.full(size, prof.log_sup - 2.0))
+            assert calls == {"level_interval": 1, "phi_vec": 0}
+            assert np.all(lo == want[0]) and np.all(hi == want[1])
+
+
+def test_bracket_searches_run_on_one_point():
+    """Every use of a bracket search in levelset.py (``_halvings``,
+    ``_deepening``, ``_outward``) sits in ``mode_radius``, ``level_interval``
+    or ``canonical_potential``: arrays of levels are bracketed by rungs."""
+    tree = ast.parse(Path(levelset.__file__).read_text())
+    searches = {"_halvings", "_deepening", "_outward"}
+
+    def uses(node):
+        return sum(isinstance(n, ast.Name) and n.id in searches for n in ast.walk(node))
+
+    owners = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+              and n.name in {"mode_radius", "level_interval", "canonical_potential"}]
+    assert len(owners) == 3 and all(uses(n) > 0 for n in owners)
+    assert uses(tree) == sum(uses(n) for n in owners)
 
 
 class TestEllEval:
