@@ -2,9 +2,8 @@
 rotationally invariant densities, spectral-gap certification of the
 auxiliary level chain, and autocorrelation diagnostics.
 
-Importing the package loads numpy only; ``spectral_gap``,
-``adjointness_check`` and ``log_surface_area`` import their part of scipy
-when first called."""
+Importing the package loads numpy only; ``spectral_gap`` and
+``log_surface_area`` import their part of scipy when first called."""
 
 from .diagnostics import AcfSeries, IatEstimate, autocorr, iat, iat_bound_from_gap
 from .errors import (

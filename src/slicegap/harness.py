@@ -32,7 +32,7 @@ from .levelset import (
     slice_profile,
 )
 from .samplers import (
-    _t_step_levels,
+    _fraction_stepped_below,
     PiTildeSampler,
     RadialStationarySampler,
     run_x_chain,
@@ -310,7 +310,14 @@ def _ks_checks(config: ExperimentConfig, dims, seed: int) -> list:
 
 
 def _kernel_mc_check(seed: int) -> list:
-    """Transition-probability quadrature vs one-step Monte Carlo frequency."""
+    """Transition-probability quadrature vs one-step Monte Carlo frequency.
+
+    At each of ten probe levels ``s0`` the quadrature of ``P_T(s0, (-inf,
+    s0))`` is compared with the fraction of ``_KERNEL_MC_DRAWS`` one-step
+    transitions from ``s0`` that land below it.  The transitions are
+    counted in blocks (``_fraction_stepped_below``), so the check holds the
+    draws' uniforms and block-sized temporaries, not ``N``-sized steps.
+    """
     d = 5
     target = make_builtin("exponential", d)
     fac = RadialFactorization.pss(d)
@@ -322,8 +329,7 @@ def _kernel_mc_check(seed: int) -> list:
     out = []
     for s0 in probes:
         p_quad = kernelmod.transition_cdf(ell, float(s0), float(s0))
-        s1 = _t_step_levels(prof, float(s0), rng, size=_KERNEL_MC_DRAWS)
-        p_mc = float(np.mean(s1 < s0))
+        p_mc = _fraction_stepped_below(prof, float(s0), rng, _KERNEL_MC_DRAWS)
         tol = 3.0 * math.sqrt(max(p_quad * (1 - p_quad), 1e-12) / _KERNEL_MC_DRAWS) + 1e-4
         out.append({
             "check": "kernel_identity", "log_t": float(s0),
@@ -331,6 +337,29 @@ def _kernel_mc_check(seed: int) -> list:
             "status": "pass" if abs(p_quad - p_mc) <= tol else "fail",
         })
     return out
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson's rule on an odd number of samples ``y`` at the
+    strictly increasing points ``x``, by the operations of
+    ``scipy.integrate.simpson`` in their order (so bit for bit its value)."""
+    if y.size % 2 == 0:
+        raise DomainError(f"Simpson's rule takes an odd number of samples, got {y.size}")
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    return float(np.sum(hsum / 6.0 * (y[0:-2:2] * (2.0 - 1.0 / h0divh1)
+                                      + y[1:-1:2] * (hsum * (hsum / hprod))
+                                      + y[2::2] * (2.0 - h0divh1))))
+
+
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of ``y`` from ``x[0]`` to each point of ``x``
+    (0 at the first), as ``scipy.integrate.cumulative_trapezoid`` with
+    ``initial=0`` computes them."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
 
 
 # Level test functions g paired with ``int_0^b g(t) dt``, and radial test
@@ -350,9 +379,9 @@ def adjointness_check(target, fac) -> float:
     Both sides of ``<U_T g, h>_pi = <g, U_X h>_pi-tilde`` are evaluated by
     independent quadratures over the radial and level variables for every
     (g, h) pair of the fixed test functions; the residual is normalized by
-    the product of the function norms.
+    the product of the function norms.  The quadratures are composite
+    Simpson and cumulative trapezoid rules on odd-sized grids, in numpy.
     """
-    from scipy.integrate import cumulative_trapezoid, simpson
     d = target.dim
     alpha = fac.alpha
     beta = d - alpha
@@ -364,7 +393,7 @@ def adjointness_check(target, fac) -> float:
     r = np.linspace(r_a, r_hi_rad, (1 << 17) + 1)
     log_rho = (d - 1) * np.log(r) - target.phi_vec(r)
     rho = np.exp(log_rho - np.max(log_rho))           # scaled radial density
-    c_norm = simpson(rho, x=r)                        # scaled normalization
+    c_norm = _simpson(rho, r)                         # scaled normalization
     p1 = np.exp(alpha * np.log(r) - target.phi_vec(r))  # slice profile
 
     prof = slice_profile(target, fac)
@@ -381,7 +410,7 @@ def adjointness_check(target, fac) -> float:
     x_var = -v_grid[::-1]
     jac = 2.0 * v_grid[::-1]                          # |ds/dv| on the s grid
     pi_t_weight = ell_scaled * t_grid * jac           # log-level law times ds/dv
-    pi_t_norm = simpson(pi_t_weight, x=x_var)
+    pi_t_norm = _simpson(pi_t_weight, x_var)
 
     # cumulative integrals of r^{beta-1} h(r) for the set-update averages
     base = r ** (beta - 1.0)
@@ -389,19 +418,19 @@ def adjointness_check(target, fac) -> float:
     worst = 0.0
     for h_fn in _RADIAL_TESTS:
         h_vals = h_fn(r)
-        cum = np.concatenate([[0.0], cumulative_trapezoid(base * h_vals, r)])
+        cum = _cumulative_trapezoid(base * h_vals, r)
         num = np.interp(r_hi_t, r, cum) - np.interp(np.maximum(r_lo_t, r_a), r, cum)
         ux_h = num / den                               # (U_X h)(t) on the level grid
 
-        norm_h = math.sqrt(max(simpson(rho * h_vals**2, x=r) / c_norm, 0.0))
+        norm_h = math.sqrt(max(_simpson(rho * h_vals**2, r) / c_norm, 0.0))
         for g_fn, g_moment in _LEVEL_TESTS:
             # LHS: pi-average of h(r) times the mean of g under Unif(0, p1(r))
             mean_g = g_moment(p1) / p1
-            lhs = simpson(rho * h_vals * mean_g, x=r) / c_norm
+            lhs = _simpson(rho * h_vals * mean_g, r) / c_norm
             # RHS: level-law average of g(t) (U_X h)(t)
             g_vals = g_fn(t_grid)
-            rhs = simpson(pi_t_weight * g_vals * ux_h, x=x_var) / pi_t_norm
-            norm_g = math.sqrt(max(simpson(pi_t_weight * g_vals**2, x=x_var)
+            rhs = _simpson(pi_t_weight * g_vals * ux_h, x_var) / pi_t_norm
+            norm_g = math.sqrt(max(_simpson(pi_t_weight * g_vals**2, x_var)
                                    / pi_t_norm, 0.0))
             denom = norm_g * norm_h
             if denom == 0.0:

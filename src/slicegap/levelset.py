@@ -453,7 +453,10 @@ def level_set_function(target: RadialTarget, fac: RadialFactorization) -> LevelS
         limit = math.inf
 
     def log_eval(lt: np.ndarray) -> np.ndarray:
-        """Log of ell at the log levels ``lt``; -inf at and above the supremum."""
+        """Log of ell at the log levels ``lt``; -inf at and above the
+        supremum, and an EmptyLevelError for a NaN level."""
+        if np.any(np.isnan(lt)):
+            raise EmptyLevelError("a NaN level has no level set")
         out = np.full(lt.shape, -math.inf)
         inside = lt < log_sup
         if np.any(inside):

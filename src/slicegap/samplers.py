@@ -19,8 +19,11 @@ its level intervals from its own ladder of solved levels
 one-step maps are the two vector half-steps composed.  The set draw
 broadcasts its levels against its uniforms and ``t_step_levels`` takes
 numpy's ``size``; both solve level intervals only on the levels given, so
-many draws from one level cost one root solve.  The two stationary
-oracles share one grid inverse CDF, and every redraw loop is capped.
+many draws from one level cost one root solve.  The fraction of steps
+from one level that land below it is counted in blocks of steps from the
+same uniforms, so beyond the uniforms its memory does not grow with the
+number of steps.  The two stationary oracles share one grid inverse CDF,
+and every redraw loop is capped.
 """
 
 from __future__ import annotations
@@ -62,6 +65,8 @@ _MAX_REDRAWS = 64
 _ORACLE_CELLS = 2**14
 _RADIAL_TAIL_DEPTH = 80.0
 _LEVEL_TAIL_DEPTH = 34.0
+# Steps taken at once when one-step transitions are counted, not kept.
+_STEP_BLOCK = 1 << 16
 
 
 @dataclass
@@ -148,11 +153,17 @@ def x_update_radius(prof: SliceProfile, log_t, u):
     log_t = np.asarray(log_t, dtype=float)
     _broadcast_shape(log_t.shape, u.shape)  # fail before the solve, not after
     r_lo, r_hi = (r.reshape(log_t.shape) for r in level_bounds(prof, log_t))
-    out = np.minimum(_inverse_cdf_radius_vec(r_lo, r_hi, u, prof.target.dim - prof.alpha),
-                     math.nextafter(prof.target.kappa, 0.0))
+    out = _radius_in(prof, r_lo, r_hi, u)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _radius_in(prof: SliceProfile, r_lo, r_hi, u) -> np.ndarray:
+    """:func:`x_update_radius` on solved level intervals ``(r_lo, r_hi)``:
+    the inverse-CDF radius at ``u``, kept below a finite cutoff."""
+    return np.minimum(_inverse_cdf_radius_vec(r_lo, r_hi, u, prof.target.dim - prof.alpha),
+                      math.nextafter(prof.target.kappa, 0.0))
 
 
 def _inverse_cdf_radius(r_lo: float, r_hi: float, u: float, beta: float) -> float:
@@ -288,6 +299,24 @@ def _t_step_levels(prof: SliceProfile, log_t, rng: np.random.Generator,
     r = x_update_radius(prof, log_t, _open_uniforms(rng, shape))
     fac = RadialFactorization(prof.alpha)
     return t_update(log_h(prof.target, fac, r), _open_uniforms(rng, shape))
+
+
+def _fraction_stepped_below(prof: SliceProfile, s0: float, rng: np.random.Generator,
+                            n: int) -> float:
+    """``np.mean(_t_step_levels(prof, s0, rng, size=n) < s0)``, bit for bit
+    and from the same uniforms, in bounded memory: the level's interval is
+    solved once and the ``n`` steps are taken and counted in blocks of
+    ``_STEP_BLOCK``, so no temporary but the uniforms holds ``n`` values."""
+    u_set = _open_uniforms(rng, n)
+    u_level = _open_uniforms(rng, n)
+    r_lo, r_hi = level_bounds(prof, s0)
+    fac = RadialFactorization(prof.alpha)
+    below = 0
+    for start in range(0, n, _STEP_BLOCK):
+        part = slice(start, start + _STEP_BLOCK)
+        r = _radius_in(prof, r_lo, r_hi, u_set[part])
+        below += np.count_nonzero(t_update(log_h(prof.target, fac, r), u_level[part]) < s0)
+    return below / n
 
 
 # ---------------------------------------------------------------------------

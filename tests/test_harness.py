@@ -1,11 +1,13 @@
 """Tests for experiment configuration, drivers and the CLI."""
 
+import ast
 import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +305,39 @@ class TestScipyLoadedOnUse:
                              check=True, env={**os.environ, "PYTHONPATH": src}).stdout.splitlines()
         assert out == ["[]", "False"]
 
+    def test_verify_loads_no_scipy_integrate(self):
+        # the adjointness quadratures are numpy ports of scipy's rules
+        code = (
+            "import sys\n"
+            "import slicegap.cli\n"
+            "slicegap.cli.main(['verify', '--out', sys.argv[1]])\n"
+            "print('scipy.integrate' in sys.modules)\n"
+        )
+        src = str(Path(slicegap.__file__).resolve().parent.parent)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = subprocess.run([sys.executable, "-c", code, os.path.join(tmp, "v.json")],
+                                 capture_output=True, text=True, check=True,
+                                 env={**os.environ, "PYTHONPATH": src}).stdout.splitlines()
+        assert out[-1] == "False"
+
+    def test_scipy_imported_only_where_used(self):
+        # every scipy import under src/, by module, top-level statement
+        # (a function name, or None) and module name
+        found = []
+        for path in sorted(Path(slicegap.__file__).parent.glob("*.py")):
+            for stmt in ast.parse(path.read_text()).body:
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.ImportFrom):
+                        names = [node.module or ""]
+                    elif isinstance(node, ast.Import):
+                        names = [a.name for a in node.names]
+                    else:
+                        continue
+                    found += [(path.stem, getattr(stmt, "name", None), m)
+                              for m in names if m.split(".")[0] == "scipy"]
+        assert sorted(found) == [("kernel", "spectral_gap", "scipy.sparse.linalg"),
+                                 ("targets", "log_surface_area", "scipy.special")]
+
 
 class TestKernelIdentity:
     def test_profile_solved_at_most_twice(self, monkeypatch):
@@ -320,6 +355,37 @@ class TestKernelIdentity:
         rows = harness._kernel_mc_check(7)
         assert len(rows) == 10
         assert modes[0] <= 2
+
+
+class TestQuadraturePort:
+    """``_simpson`` and ``_cumulative_trapezoid`` equal scipy's rules bitwise."""
+
+    @staticmethod
+    def _grids():
+        rng = np.random.default_rng(3)
+        r = np.linspace(1e-12, 37.5, (1 << 17) + 1)
+        v = np.linspace(math.sqrt(1e-12), math.sqrt(40.0), 4096 + 1)
+        yield r, np.exp(-r) * r**2
+        yield -v[::-1], np.sqrt(v[::-1]) * np.cos(v[::-1])
+        for n in (3, 5, 101, 4097):
+            x = np.cumsum(rng.exponential(size=n)) - 7.0
+            yield x, rng.standard_normal(n)
+
+    def test_simpson(self):
+        from scipy.integrate import simpson
+        for x, y in self._grids():
+            assert harness._simpson(y, x) == simpson(y, x=x)
+
+    def test_cumulative_trapezoid(self):
+        from scipy.integrate import cumulative_trapezoid
+        for x, y in self._grids():
+            np.testing.assert_array_equal(harness._cumulative_trapezoid(y, x),
+                                          cumulative_trapezoid(y, x, initial=0))
+
+    def test_even_count_rejected(self):
+        x = np.linspace(0.0, 1.0, 4)
+        with pytest.raises(DomainError, match="odd"):
+            harness._simpson(x * x, x)
 
 
 class TestAdjointness:

@@ -552,6 +552,14 @@ class TestEllEval:
         ell = level_set_function(target, PSS(3))
         assert ell.eval(ell.log_support_sup + 0.5) == 0.0
 
+    def test_nan_level_is_empty(self):
+        # NaN is not below the supremum: ell used to read 0 there, no error
+        ell = level_set_function(exponential(3), PSS(3))
+        with pytest.raises(EmptyLevelError):
+            ell.eval(np.array([math.nan, -1.0]))
+        with pytest.raises(EmptyLevelError):
+            ell.log(math.nan)
+
     def test_monotone_and_vanishing(self):
         for target, fac in [(exponential(5), PSS(5)), (gaussian(3), USS())]:
             ell = level_set_function(target, fac)

@@ -3,6 +3,7 @@
 import ast
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -492,6 +493,46 @@ class TestLevelSolvedOnce:
         s0 = slice_profile(target, fac).log_sup - 3.0
         t_step_levels(target, fac, s0, make_rng(1), size=10_000)
         assert solved[0] == 1
+
+    def test_kernel_mc_check_in_blocks(self, monkeypatch):
+        # three full blocks and a partial one: each probe is still solved
+        # once, and each fraction is the one-array mean from the same stream
+        n = 3 * samplers._STEP_BLOCK + 5
+        monkeypatch.setattr(harness, "_KERNEL_MC_DRAWS", n)
+        calls = []
+        solve = samplers.level_bounds
+        monkeypatch.setattr(samplers, "level_bounds",
+                            lambda prof, log_t: calls.append(np.size(log_t)) or solve(prof, log_t))
+        checks = harness._kernel_mc_check(7)
+        assert calls == [1] * 10
+        prof = slice_profile(exponential(5), PSS(5))
+        rng = make_rng(7, 0)
+        for check in checks:
+            s0 = check["log_t"]
+            want = np.mean(samplers._t_step_levels(prof, s0, rng, size=n) < s0)
+            assert check["monte_carlo"] == want
+
+    def test_fraction_below_matches_one_array(self):
+        n = 2 * samplers._STEP_BLOCK + 1
+        for target, fac in [(gaussian(3), USS()), (volcano(4, 2.0), PSS(4))]:
+            prof = slice_profile(target, fac)
+            for depth in (0.3, 4.0):
+                s0 = prof.log_sup - depth
+                got = samplers._fraction_stepped_below(prof, s0, make_rng(11), n)
+                want = np.mean(samplers._t_step_levels(prof, s0, make_rng(11), size=n) < s0)
+                assert got == want
+
+    def test_kernel_mc_check_memory(self):
+        # the two arrays of N uniforms and block-sized temporaries, not
+        # N-sized steps
+        tracemalloc.start()
+        try:
+            harness._kernel_mc_check(7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert harness._KERNEL_MC_DRAWS == 1_000_000
+        assert peak < 2 * 8 * harness._KERNEL_MC_DRAWS + 8 * 2**20
 
     def test_kernel_mc_check(self, solved, monkeypatch):
         # fewer draws per probe keep the test short; one solve per probe
