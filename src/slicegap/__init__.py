@@ -2,8 +2,9 @@
 rotationally invariant densities, spectral-gap certification of the
 auxiliary level chain, and autocorrelation diagnostics.
 
-Importing the package loads numpy only; ``spectral_gap`` and
-``log_surface_area`` import their part of scipy when first called."""
+Importing the package loads numpy only.  ``spectral_gap`` alone imports
+scipy (its ARPACK eigensolver) when first called, so only ``certify_gap``,
+``duality_gap_compare``, ``gap_table`` and ``verify`` load scipy."""
 
 from .diagnostics import AcfSeries, IatEstimate, autocorr, iat, iat_bound_from_gap
 from .errors import (

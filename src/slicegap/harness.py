@@ -40,7 +40,14 @@ from .samplers import (
     x_step_radii,
     make_rng,
 )
-from .targets import BUILTIN_TAGS, RadialFactorization, make_builtin
+from .targets import (
+    BUILTIN_TAGS,
+    RadialFactorization,
+    RadialTarget,
+    make_builtin,
+    radial_weighted_exponential,
+    surface_area,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -105,8 +112,7 @@ class ExperimentConfig:
                                for k in _sequence("lambda_ks", self.lambda_ks))
         for name in ("n_it", "n_rep", "base_seed", "grid_size", "ks_sample"):
             setattr(self, name, _integer(name, getattr(self, name)))
-        if not isinstance(self.mass_tol, (int, float)):
-            raise DomainError(f"mass_tol must be a number, got {self.mass_tol!r}")
+        kernelmod._check_mass_tol(self.mass_tol)
         if not isinstance(self.out, (str, type(None))):
             raise DomainError(f"out must be a path, got {self.out!r}")
         if not self.dims:
@@ -160,6 +166,15 @@ def row_seed(base_seed: int, d: int, sampler: str, rep: int) -> int:
 
 def _factorization(sampler: str, d: int) -> RadialFactorization:
     return RadialFactorization.pss(d) if sampler == "pss" else RadialFactorization.uss()
+
+
+def _cases(config: ExperimentConfig, dims):
+    """``(d, sampler, target, factorization)`` for each dimension in ``dims``
+    and each sampler of the config, building one target per dimension."""
+    for d in dims:
+        target = make_builtin(config.target, d, **config.target_params)
+        for s in config.samplers:
+            yield d, s, target, _factorization(s, d)
 
 
 def _iat_cell(args: tuple) -> dict:
@@ -234,30 +249,24 @@ def write_iat_csv(result: dict, path: str) -> None:
 def gap_table(config: ExperimentConfig) -> list:
     """Gap certificate per (target, sampler, d) in the config grid."""
     out = []
-    for d in config.dims:
-        for s in config.samplers:
-            target = make_builtin(config.target, d, **config.target_params)
-            fac = _factorization(s, d)
-            ell = level_set_function(target, fac)
-            est = kernelmod.certify_gap(ell, n=config.grid_size,
-                                        mass_tol=config.mass_tol)
-            out.append({"target": config.target, "alpha": fac.alpha, "d": d,
-                        **est.to_dict()})
+    for d, _, target, fac in _cases(config, config.dims):
+        ell = level_set_function(target, fac)
+        est = kernelmod.certify_gap(ell, n=config.grid_size,
+                                    mass_tol=config.mass_tol)
+        out.append({"target": config.target, "alpha": fac.alpha, "d": d,
+                    **est.to_dict()})
     return out
 
 
 def check_lambda(config: ExperimentConfig) -> list:
     """Membership reports per (target, sampler, d, k) in the config grid."""
     out = []
-    for d in config.dims:
-        for s in config.samplers:
-            target = make_builtin(config.target, d, **config.target_params)
-            fac = _factorization(s, d)
-            ell = level_set_function(target, fac)
-            for k in config.lambda_ks:
-                report = lambda_k_check(ell, k)
-                out.append({"target": config.target, "alpha": fac.alpha,
-                            "d": d, **report.to_dict()})
+    for d, _, target, fac in _cases(config, config.dims):
+        ell = level_set_function(target, fac)
+        for k in config.lambda_ks:
+            report = lambda_k_check(ell, k)
+            out.append({"target": config.target, "alpha": fac.alpha,
+                        "d": d, **report.to_dict()})
     return out
 
 
@@ -277,35 +286,42 @@ def _ks_statistic(a, b) -> float:
 
 
 def _ks_checks(config: ExperimentConfig, dims, seed: int) -> list:
-    """One-step stationarity KS tests for the X- and T-chains."""
+    """One-step stationarity KS tests for the X- and T-chains.
+
+    A check passes when the statistic is at most ``2 / sqrt(n)`` for ``n``
+    draws per sample (0.02 at the default 10,000).  That is ``sqrt(2)`` on
+    the two-sample scale ``sqrt(n / 2) * statistic``, whose Kolmogorov tail
+    is about 3.7%: the false-fail rate of each check, at every ``n``.
+    """
     results = []
     n = config.ks_sample
     if n < 1000:
         return [{"check": "ks_stationarity", "status": "skipped",
                  "detail": f"sample size {n} is underpowered (need >= 1000)"}]
-    for d in dims:
-        for s in config.samplers:
-            target = make_builtin(config.target, d, **config.target_params)
-            fac = _factorization(s, d)
-            rng = make_rng(seed, 0)
-            radial = RadialStationarySampler(target)
-            r0 = radial.sample(rng, n)
-            r1 = x_step_radii(target, fac, r0, rng)
-            r_ref = radial.sample(rng, n)
-            ks_x = _ks_statistic(r1, r_ref)
-            ell = level_set_function(target, fac)
-            pit = PiTildeSampler(ell)
-            s0 = pit.sample(rng, n)
-            s1 = t_step_levels(target, fac, s0, rng)
-            s_ref = pit.sample(rng, n)
-            ks_t = _ks_statistic(s1, s_ref)
-            for label, stat in (("x_chain", ks_x), ("t_chain", ks_t)):
-                results.append({
-                    "check": "ks_stationarity", "chain": label,
-                    "target": config.target, "sampler": s, "d": d,
-                    "statistic": float(stat),
-                    "status": "pass" if stat <= 0.02 else "fail",
-                })
+    bound = 2.0 / math.sqrt(n)
+    oracles = {}
+    for d, s, target, fac in _cases(config, dims):
+        if d not in oracles:
+            oracles[d] = RadialStationarySampler(target)
+        radial = oracles[d]
+        rng = make_rng(seed, 0)
+        r0 = radial.sample(rng, n)
+        r1 = x_step_radii(target, fac, r0, rng)
+        r_ref = radial.sample(rng, n)
+        ks_x = _ks_statistic(r1, r_ref)
+        ell = level_set_function(target, fac)
+        pit = PiTildeSampler(ell)
+        s0 = pit.sample(rng, n)
+        s1 = t_step_levels(target, fac, s0, rng)
+        s_ref = pit.sample(rng, n)
+        ks_t = _ks_statistic(s1, s_ref)
+        for label, stat in (("x_chain", ks_x), ("t_chain", ks_t)):
+            results.append({
+                "check": "ks_stationarity", "chain": label,
+                "target": config.target, "sampler": s, "d": d,
+                "statistic": float(stat),
+                "status": "pass" if stat <= bound else "fail",
+            })
     return results
 
 
@@ -453,7 +469,6 @@ def _adjointness_checks() -> list:
 
 
 def _equivalence_checks() -> list:
-    from .targets import radial_weighted_exponential, surface_area, RadialTarget
     out = []
     for d in range(2, 11):
         ell_pss = level_set_function(radial_weighted_exponential(d),

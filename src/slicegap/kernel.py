@@ -36,6 +36,7 @@ the 2n grid's refinement, whose every other point refines the n grid.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -98,6 +99,13 @@ def _mass_window(ell: LevelSetFunction, s_sup: float, depth: float):
     return grid, np.cumsum(vals[1:] + vals[:-1])
 
 
+def _check_mass_tol(mass_tol) -> None:
+    """Reject a ``mass_tol`` that is not a real number in (0, 1)."""
+    if (isinstance(mass_tol, bool) or not isinstance(mass_tol, numbers.Real)
+            or not 0.0 < mass_tol < 1.0):
+        raise DomainError(f"mass_tol must be a number in (0, 1), got {mass_tol!r}")
+
+
 def build_tgrid(ell: LevelSetFunction, n: int = 2048,
                 mass_tol: float = 1e-8) -> TGrid:
     """Log-spaced grid from a mass-truncated lower level up to the support sup.
@@ -109,6 +117,7 @@ def build_tgrid(ell: LevelSetFunction, n: int = 2048,
     read off the window's cumulative trapezoid sums, so the reported
     truncation mass never exceeds ``mass_tol``.
     """
+    _check_mass_tol(mass_tol)
     if n < 1:
         raise DomainError(f"grid size must be at least 1, got {n}")
     s_sup = ell.log_support_sup

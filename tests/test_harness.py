@@ -216,6 +216,9 @@ class TestCli:
         ("target", 5),
         ("mass_tol", "1e-8"),
         ("out", ["gaps.json"]),
+        # well typed, but a mass_tol must lie strictly inside (0, 1)
+        ("mass_tol", 0.0), ("mass_tol", -1), ("mass_tol", 1), ("mass_tol", 1.5),
+        ("mass_tol", math.nan), ("mass_tol", True),
     ])
     def test_mistyped_config_exit_code(self, tmp_path, capsys, key, value):
         config = tmp_path / "cfg.json"
@@ -238,6 +241,16 @@ class TestVerifyGuards:
         cfg = ExperimentConfig(ks_sample=100)
         out = _ks_checks(cfg, dims=(2,), seed=1)
         assert out[0]["status"] == "skipped"
+
+    def test_ks_bound_scales_with_sample_size(self):
+        # at 1000 draws most of these statistics exceed 0.02, the bound at 10,000
+        from slicegap.harness import _ks_checks
+        out = _ks_checks(ExperimentConfig(ks_sample=1000), dims=(2, 5, 10),
+                         seed=ExperimentConfig().base_seed)
+        assert len(out) == 12
+        for check in out:
+            expected = "pass" if check["statistic"] <= 2.0 / math.sqrt(1000) else "fail"
+            assert check["status"] == expected
 
     def test_corrupted_ell_surfaces_error(self):
         # a non-monotone level-set function must fail loudly, not silently
@@ -288,7 +301,7 @@ class TestKsStatistic:
 class TestScipyLoadedOnUse:
     def test_sweep_loads_no_scipy(self):
         # the flat-IAT sweep needs nothing from scipy, and a certificate
-        # loads only its eigensolver and gammaln, not scipy.stats
+        # loads only its eigensolver, not scipy.stats
         code = (
             "import sys\n"
             "import slicegap, slicegap.cli\n"
@@ -304,6 +317,30 @@ class TestScipyLoadedOnUse:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src}).stdout.splitlines()
         assert out == ["[]", "False"]
+
+    def test_levels_chains_oracles_and_check_lambda_load_no_scipy(self):
+        # only spectral_gap imports scipy; nothing here solves an eigenproblem
+        code = (
+            "import sys\n"
+            "import slicegap.cli\n"
+            "from slicegap import (PiTildeSampler, RadialFactorization, exponential,\n"
+            "                      lambda_k_check, level_set_function, make_rng,\n"
+            "                      run_x_chain, t_step_levels)\n"
+            "target, fac = exponential(3), RadialFactorization.pss(3)\n"
+            "ell = level_set_function(target, fac)\n"
+            "lambda_k_check(ell, 1)\n"
+            "run_x_chain(target, fac, 200, 2.0, 1)\n"
+            "rng = make_rng(1, 0)\n"
+            "t_step_levels(target, fac, PiTildeSampler(ell).sample(rng, 100), rng)\n"
+            "slicegap.cli.main(['check-lambda', '--out', sys.argv[1]])\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        src = str(Path(slicegap.__file__).resolve().parent.parent)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = subprocess.run([sys.executable, "-c", code, os.path.join(tmp, "l.json")],
+                                 capture_output=True, text=True, check=True,
+                                 env={**os.environ, "PYTHONPATH": src}).stdout.splitlines()
+        assert out == ["[]"]
 
     def test_verify_loads_no_scipy_integrate(self):
         # the adjointness quadratures are numpy ports of scipy's rules
@@ -335,8 +372,7 @@ class TestScipyLoadedOnUse:
                         continue
                     found += [(path.stem, getattr(stmt, "name", None), m)
                               for m in names if m.split(".")[0] == "scipy"]
-        assert sorted(found) == [("kernel", "spectral_gap", "scipy.sparse.linalg"),
-                                 ("targets", "log_surface_area", "scipy.special")]
+        assert found == [("kernel", "spectral_gap", "scipy.sparse.linalg")]
 
 
 class TestKernelIdentity:

@@ -139,6 +139,20 @@ class TestTGrid:
         build_tgrid(counted, 64, mass_tol=mass_tol)
         assert sizes == [1 << 15] * windows
 
+    @pytest.mark.parametrize("mass_tol", [0.0, -1.0, 1.0, 1.5, math.nan, True])
+    def test_mass_tol_outside_unit_interval_rejected(self, mass_tol):
+        # rejected before any level is evaluated
+        ell = level_set_function(exponential(3), PSS(3))
+        counted, sizes = counting(ell)
+        with pytest.raises(DomainError, match="mass_tol"):
+            build_tgrid(counted, 64, mass_tol=mass_tol)
+        assert sizes == []
+
+    def test_zero_mass_tol_certificate_rejected(self):
+        ell = level_set_function(exponential(10), PSS(10))
+        with pytest.raises(DomainError, match="mass_tol"):
+            certify_gap(ell, n=64, mass_tol=0.0)
+
     def test_infinite_support_rejected(self):
         # USS on the radial-weighted profile has unbounded h, so no top level
         ell = level_set_function(radial_weighted_exponential(4), USS())

@@ -128,6 +128,17 @@ class TestSurfaceArea:
         assert surface_area(20) == pytest.approx(
             math.exp(log_surface_area(20)), rel=1e-12)
 
+    def test_log_variant_small_dimensions(self):
+        for d, sigma in ((1, 2.0), (2, 2.0 * math.pi), (3, 4.0 * math.pi)):
+            assert math.exp(log_surface_area(d)) == pytest.approx(sigma, rel=1e-15)
+
+    def test_lgamma_matches_gammaln(self):
+        # the standard-library lgamma against scipy's gammaln in the same formula
+        from scipy.special import gammaln
+        for d in range(1, 2001):
+            ref = math.log(2.0) + 0.5 * d * math.log(math.pi) - gammaln(0.5 * d)
+            assert abs(log_surface_area(d) - ref) <= 2e-12
+
 
 class TestFactorization:
     def test_negative_alpha_rejected(self):
