@@ -92,13 +92,9 @@ def iat(values: np.ndarray, max_lag: int | None = None) -> IatEstimate:
     max_lag = min(max_lag, n - 1)
     acf = autocorr(x, max_lag)
     rho = acf.rho
-    trunc = max_lag
-    k = 1
-    while k + 1 <= max_lag:
-        if rho[k] + rho[k + 1] < 0.0:
-            trunc = k
-            break
-        k += 2
+    # rho(K) + rho(K+1) for K = 1, 3, 5, ... while K + 1 <= max_lag
+    neg = np.flatnonzero(rho[1:max_lag:2] + rho[2:max_lag + 1:2] < 0.0)
+    trunc = 2 * int(neg[0]) + 1 if neg.size else max_lag
     value = 1.0 + 2.0 * float(np.sum(rho[1:trunc]))
     return IatEstimate(iat=value, truncation_lag=trunc, n=n)
 

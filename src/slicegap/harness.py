@@ -72,7 +72,9 @@ IAT_CSV_HEADER = ["d", "sampler", "rep", "seed", "iat", "truncation_lag",
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as an int if it is an integer (not a float or a string)."""
+    """``value`` as an int if it is an integer (not a bool, a float or a string)."""
+    if isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
     try:
         return operator.index(value)
     except TypeError:
@@ -115,8 +117,9 @@ class ExperimentConfig:
         kernelmod._check_mass_tol(self.mass_tol)
         if not isinstance(self.out, (str, type(None))):
             raise DomainError(f"out must be a path, got {self.out!r}")
-        if not self.dims:
-            raise DomainError("dims must be nonempty")
+        for name in ("samplers", "dims", "lambda_ks"):
+            if not getattr(self, name):
+                raise DomainError(f"{name} must be nonempty")
         if any(d < 1 for d in self.dims):
             raise DomainError("dims must be positive integers")
         if self.n_it < 10:
@@ -357,18 +360,11 @@ def _kernel_mc_check(seed: int) -> list:
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     """Composite Simpson's rule on an odd number of samples ``y`` at the
-    strictly increasing points ``x``, by the operations of
-    ``scipy.integrate.simpson`` in their order (so bit for bit its value)."""
+    evenly spaced points ``x``."""
     if y.size % 2 == 0:
         raise DomainError(f"Simpson's rule takes an odd number of samples, got {y.size}")
-    h = np.diff(x)
-    h0, h1 = h[0::2], h[1::2]
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = h0 / h1
-    return float(np.sum(hsum / 6.0 * (y[0:-2:2] * (2.0 - 1.0 / h0divh1)
-                                      + y[1:-1:2] * (hsum * (hsum / hprod))
-                                      + y[2::2] * (2.0 - h0divh1))))
+    h = (x[-1] - x[0]) / (y.size - 1)
+    return float(h / 3.0 * (y[0] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2]) + y[-1]))
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:

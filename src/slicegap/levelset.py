@@ -11,13 +11,13 @@ monotone branches, evaluates the generalized level-set function
 and checks the decreasing-function class whose k-th member certifies a
 spectral gap of at least 1/(k+1) for the associated sampler.
 
-Every root is bracketed by one copy of each bracket search (toward 0 by
-halving, or below the mode by doubling the depth in ``log r``; outward
-toward a finite cutoff or by doubling), run on one point at a time by
-``mode_radius``, ``level_interval`` and ``canonical_potential``.  The
-profile mode and the canonical comparator's potential are solved by one
-bisection, ``_bisect``; level endpoints by a safeguarded Newton iteration
-in ``log r``.
+Every root is bracketed by one of two bracket searches: ``_deepening``
+toward 0, which doubles the depth in ``log r`` down to the float floor,
+and ``_outward``, toward a finite cutoff or by doubling.  They run on one
+point at a time, in ``mode_radius``, ``level_interval`` and
+``canonical_potential``.  The profile mode and the canonical comparator's
+potential are solved by one bisection, ``_bisect``; level endpoints by a
+safeguarded Newton iteration in ``log r``.
 
 Many levels of one profile are bracketed by rungs: levels solved by
 ``level_interval``.  ``r_lo`` rises with the level and ``r_hi`` falls, so
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -80,15 +81,11 @@ _PROBE_DEPTH = 40.0
 # Scalar root finding: bracket searches and one bisection
 # ---------------------------------------------------------------------------
 
-def _halvings(x: float):
-    """``x, x/2, x/4, ...``: at most ``_MAX_EXPANSIONS`` points."""
-    for _ in range(_MAX_EXPANSIONS):
-        yield x
-        x *= 0.5
-
-
 def _deepening(x: float):
-    """``x * 2**-(2**k)`` (``x/2, x/4, x/16, ...``) until it underflows to 0."""
+    """``x``, then ``x * 2**-(2**k)`` (``x/2, x/4, x/16, ...``) until it
+    underflows to 0: a positive ``x`` reaches the float floor in about 12
+    points."""
+    yield x
     for k in range(_MAX_EXPANSIONS):
         a = math.ldexp(x, -(1 << k))
         if a == 0.0:
@@ -143,8 +140,8 @@ def mode_radius(target: RadialTarget, fac: RadialFactorization) -> float:
 
     Bisects the sign change of ``alpha - r * phi'(r)``; for ``alpha = 0``
     that of ``-phi'(r)``, which gives the minimizer of phi.  The bracket
-    is found by halving from 1 (``kappa / 2`` for a finite cutoff), then
-    searching outward.
+    is found by deepening toward 0 from 1 (``kappa / 2`` for a finite
+    cutoff), then searching outward.
     """
     fac.validate_for(target)
     kappa = target.kappa
@@ -153,7 +150,7 @@ def mode_radius(target: RadialTarget, fac: RadialFactorization) -> float:
         rise = lambda r: -target.dphi(r)
     else:
         rise = lambda r: alpha - r * target.dphi(r)
-    for a in _halvings(1.0 if not math.isfinite(kappa) else 0.5 * kappa):
+    for a in _deepening(1.0 if not math.isfinite(kappa) else 0.5 * kappa):
         if rise(a) > 0.0:
             break
     else:
@@ -199,8 +196,8 @@ def slice_profile(target: RadialTarget, fac: RadialFactorization) -> SliceProfil
 def level_interval(prof: SliceProfile, log_t: float) -> tuple[float, float]:
     """``(r_lo, r_hi)`` solving ``log_h(r) = log_t`` on both branches of the
     profile.  Each root is bracketed by a search from the mode (or, for a
-    non-increasing profile, from an anchor above the level found by halving
-    toward 0), then solved by the safeguarded Newton iteration in
+    non-increasing profile, from an anchor above the level found by
+    deepening toward 0), then solved by the safeguarded Newton iteration in
     ``log r`` (``_newton_scalar``), started at the search's last point."""
     if not log_t < prof.log_sup:
         raise EmptyLevelError(
@@ -215,16 +212,17 @@ def level_interval(prof: SliceProfile, log_t: float) -> tuple[float, float]:
     # --- lower endpoint --------------------------------------------------
     r_lo = 0.0
     if r_mode == 0.0:
-        for anchor in _halvings(min(1.0, 0.5 * target.kappa)):
+        for anchor in _deepening(min(1.0, 0.5 * target.kappa)):
             if lh(anchor) >= log_t:
                 break
         else:
             raise NoRootError("lower anchor search failed; profile never reaches the level")
     else:
         anchor = r_mode
-        # Without a point at or below the level above the float floor, the
-        # profile exceeds the level all the way down and r_lo stays 0.
-        for a in _deepening(r_mode):
+        # Below the mode, which is above every level.  Without a point at or
+        # below the level above the float floor, the profile exceeds the
+        # level all the way down and r_lo stays 0.
+        for a in islice(_deepening(r_mode), 1, None):
             if lh(a) <= log_t:
                 u = math.log(a)
                 r_lo = _newton_scalar(phi, dphi, alpha, log_t, u, math.log(r_mode), u)

@@ -39,6 +39,7 @@ from .levelset import (
     LevelSetFunction,
     SliceProfile,
     _ladder,
+    _outward,
     level_bounds,
     level_interval,
     slice_profile,
@@ -360,7 +361,9 @@ class PiTildeSampler(_GridInverseCdf):
 
     The stationary density in ``s = log t`` is proportional to
     ``ell(e^s) e^s``; sampling is grid inverse CDF on an adaptively
-    bracketed s-range.
+    bracketed s-range.  Each tail is found by the bracket search
+    ``levelset._outward``: steps of 1, 2, 4, ... away from a reference
+    level, at most 10^6.
     """
 
     def __init__(self, ell: LevelSetFunction):
@@ -375,12 +378,12 @@ class PiTildeSampler(_GridInverseCdf):
             raise DomainError("reference level has no stationary mass")
 
         def tail_end(sign: float, side: str) -> float:
-            step = 1.0
-            while log_m(s_ref + sign * step) > m_ref - _LEVEL_TAIL_DEPTH:
-                step *= 2.0
+            for step in _outward(0.0, math.inf):
                 if step > 1e6:
-                    raise DomainError(f"could not bracket the {side} stationary tail")
-            return s_ref + sign * step
+                    break
+                if log_m(s_ref + sign * step) <= m_ref - _LEVEL_TAIL_DEPTH:
+                    return s_ref + sign * step
+            raise DomainError(f"could not bracket the {side} stationary tail")
 
         # Expand downward (and upward when the support is unbounded).
         s_lo = tail_end(-1.0, "lower")

@@ -95,6 +95,35 @@ class TestIat:
         est = iat(x)
         assert est.truncation_lag <= 32
 
+    @staticmethod
+    def _loop_iat(x, max_lag):
+        """The truncation rule as a scan over the odd lags."""
+        rho = autocorr(x, max_lag).rho
+        trunc = max_lag
+        k = 1
+        while k + 1 <= max_lag:
+            if rho[k] + rho[k + 1] < 0.0:
+                trunc = k
+                break
+            k += 2
+        return 1.0 + 2.0 * float(np.sum(rho[1:trunc])), trunc
+
+    @pytest.mark.parametrize("max_lag", [None, 0, 1, 2, 7, 40, 41, 499])
+    def test_truncation_matches_loop(self, max_lag):
+        for seed, coef in enumerate((-0.5, 0.0, 0.5, 0.9)):
+            x = ar1(1000, coef, seed=seed)
+            lag = x.size // 2 if max_lag is None else max_lag  # the default cap
+            est = iat(x, max_lag)
+            assert (est.iat, est.truncation_lag) == self._loop_iat(x, lag)
+
+    def test_no_negative_pair_sums_whole_window(self):
+        x = np.arange(100.0)  # a trend: every autocorrelation up to lag 30 is positive
+        assert np.all(autocorr(x, 30).rho > 0.0)
+        for max_lag in (29, 30):
+            est = iat(x, max_lag)
+            assert est.truncation_lag == max_lag
+            assert (est.iat, est.truncation_lag) == self._loop_iat(x, max_lag)
+
 
 class TestGapBound:
     def test_values(self):

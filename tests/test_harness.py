@@ -219,6 +219,10 @@ class TestCli:
         # well typed, but a mass_tol must lie strictly inside (0, 1)
         ("mass_tol", 0.0), ("mass_tol", -1), ("mass_tol", 1), ("mass_tol", 1.5),
         ("mass_tol", math.nan), ("mass_tol", True),
+        # a bool is not an integer, and an empty list runs nothing
+        ("dims", [True]), ("lambda_ks", [True]), ("n_it", True), ("n_rep", True),
+        ("base_seed", True), ("grid_size", True), ("ks_sample", True),
+        ("samplers", []), ("lambda_ks", []),
     ])
     def test_mistyped_config_exit_code(self, tmp_path, capsys, key, value):
         config = tmp_path / "cfg.json"
@@ -394,7 +398,8 @@ class TestKernelIdentity:
 
 
 class TestQuadraturePort:
-    """``_simpson`` and ``_cumulative_trapezoid`` equal scipy's rules bitwise."""
+    """``_simpson`` is Simpson's rule on evenly spaced points, and
+    ``_cumulative_trapezoid`` equals scipy's rule bitwise."""
 
     @staticmethod
     def _grids():
@@ -407,10 +412,25 @@ class TestQuadraturePort:
             x = np.cumsum(rng.exponential(size=n)) - 7.0
             yield x, rng.standard_normal(n)
 
-    def test_simpson(self):
+    def test_simpson_exact_on_cubics(self):
+        rng = np.random.default_rng(5)
+        for n in (3, 5, 101):
+            a, b = np.sort(rng.uniform(-3.0, 3.0, size=2))
+            c = rng.standard_normal(4)
+            x = np.linspace(a, b, n)
+            exact = sum(c[k] * (b ** (k + 1) - a ** (k + 1)) / (k + 1) for k in range(4))
+            got = harness._simpson(np.polyval(c[::-1], x), x)
+            assert got == pytest.approx(exact, rel=1e-13, abs=1e-13)
+
+    def test_simpson_matches_scipy_on_uniform_grids(self):
         from scipy.integrate import simpson
-        for x, y in self._grids():
-            assert harness._simpson(y, x) == simpson(y, x=x)
+        for x, y in list(self._grids())[:2]:
+            assert harness._simpson(y, x) == pytest.approx(simpson(y, x=x), rel=1e-14)
+        rng = np.random.default_rng(4)
+        for n in (3, 5, 101, 4097):
+            x = np.linspace(-7.0, rng.uniform(-6.0, 30.0), n)
+            y = rng.uniform(0.5, 1.5, size=n)
+            assert harness._simpson(y, x) == pytest.approx(simpson(y, x=x), rel=1e-14)
 
     def test_cumulative_trapezoid(self):
         from scipy.integrate import cumulative_trapezoid

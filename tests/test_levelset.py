@@ -115,13 +115,22 @@ class TestLevelInterval:
 
     def test_unreachable_level_raises(self):
         # a flat profile never climbs to the level, so the anchor search
-        # toward r = 0 must stop with a named error instead of halving on
+        # toward r = 0 must stop with a named error instead of searching on
         flat = RadialTarget(phi=lambda r: 0.0 * r, dphi=lambda r: 0.0 * r, tag="flat")
         prof = SliceProfile(flat, alpha=0.0, r_mode=0.0, log_sup=math.inf)
         with pytest.raises(NoRootError):
             level_interval(prof, 1.0)
         with pytest.raises(NoRootError):
             level_bounds(prof, np.array([-1.0, 1.0]))
+
+    @pytest.mark.parametrize("log_t", [-1e-61, -1e-70, -1e-99])
+    def test_uss_exponential_next_to_the_supremum(self, log_t):
+        # e^{-r} > e^{log_t} on [0, -log_t); the anchor search toward 0 used
+        # to stop at 2**-199 and raise NoRootError on levels this close to 0
+        r_lo, r_hi = level_interval(slice_profile(exponential(3), USS()), log_t)
+        assert r_lo == 0.0
+        assert r_hi == pytest.approx(-log_t, rel=1e-12)
+        assert math.isfinite(level_set_function(exponential(3), USS()).log(log_t))
 
     def test_vectorized_matches_scalar(self):
         prof = slice_profile(gaussian(6), PSS(6))
@@ -521,11 +530,15 @@ class TestRungs:
 
 
 def test_bracket_searches_run_on_one_point():
-    """Every use of a bracket search in levelset.py (``_halvings``,
-    ``_deepening``, ``_outward``) sits in ``mode_radius``, ``level_interval``
-    or ``canonical_potential``: arrays of levels are bracketed by rungs."""
+    """levelset.py has two bracket searches, the generators ``_deepening``
+    toward 0 and ``_outward`` away from it, and every use of them sits in
+    ``mode_radius``, ``level_interval`` or ``canonical_potential``: arrays
+    of levels are bracketed by rungs."""
     tree = ast.parse(Path(levelset.__file__).read_text())
-    searches = {"_halvings", "_deepening", "_outward"}
+    searches = {"_deepening", "_outward"}
+    generators = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)
+                  and any(isinstance(y, ast.Yield) for y in ast.walk(n))}
+    assert generators == searches
 
     def uses(node):
         return sum(isinstance(n, ast.Name) and n.id in searches for n in ast.walk(node))
