@@ -6,7 +6,7 @@ Importing the package loads numpy only.  ``spectral_gap`` alone imports
 scipy (its ARPACK eigensolver) when first called, so only ``certify_gap``,
 ``duality_gap_compare``, ``gap_table`` and ``verify`` load scipy."""
 
-from .diagnostics import AcfSeries, IatEstimate, autocorr, iat, iat_bound_from_gap
+from .diagnostics import IatEstimate, autocorr, iat, iat_bound_from_gap
 from .errors import (
     DegenerateSupportError,
     DomainError,
@@ -46,7 +46,6 @@ from .levelset import (
 from .samplers import (
     PiTildeSampler,
     RadialStationarySampler,
-    Trace,
     make_rng,
     run_t_chain,
     run_x_chain,

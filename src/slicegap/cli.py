@@ -91,10 +91,7 @@ def main(argv=None) -> int:
             report = verify(cfg)
             _emit_json(report, cfg.out)
             return 0 if report["status"] == "pass" else 1
-    except SliceGapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SliceGapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

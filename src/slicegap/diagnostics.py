@@ -19,7 +19,6 @@ import numpy as np
 from .errors import DomainError, InsufficientDataError, ZeroVarianceError
 
 __all__ = [
-    "AcfSeries",
     "IatEstimate",
     "autocorr",
     "iat",
@@ -31,18 +30,6 @@ _DEFAULT_MAX_LAG = 10_000
 
 
 @dataclass(frozen=True)
-class AcfSeries:
-    """Empirical autocorrelations rho(0..max_lag), rho(0) = 1."""
-
-    rho: np.ndarray
-    n: int
-
-    @property
-    def max_lag(self) -> int:
-        return self.rho.size - 1
-
-
-@dataclass(frozen=True)
 class IatEstimate:
     """IAT value with the truncation lag that produced it."""
 
@@ -50,15 +37,13 @@ class IatEstimate:
     truncation_lag: int
     n: int
 
-    def to_dict(self) -> dict:
-        return {"iat": self.iat, "truncation_lag": self.truncation_lag, "n": self.n}
 
-
-def autocorr(values: np.ndarray, max_lag: int) -> AcfSeries:
-    """Empirical autocorrelation function with denominator-n normalization.
+def autocorr(values: np.ndarray, max_lag: int) -> np.ndarray:
+    """Empirical autocorrelations ``rho(0..max_lag)``, with ``rho(0) = 1``,
+    under denominator-n normalization.
 
     gamma(k) = (1/n) sum_{i<n-k} (x_i - mean)(x_{i+k} - mean); rho = gamma/gamma(0),
-    computed by FFT.
+    computed by FFT.  Returns the ``(max_lag + 1,)`` array ``rho``.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
@@ -75,7 +60,7 @@ def autocorr(values: np.ndarray, max_lag: int) -> AcfSeries:
     m = 1 << int(np.ceil(np.log2(2 * n)))
     f = np.fft.rfft(xc, m)
     gamma = np.fft.irfft(f * np.conj(f), m)[: max_lag + 1] / n
-    return AcfSeries(rho=gamma / gamma[0], n=n)
+    return gamma / gamma[0]
 
 
 def iat(values: np.ndarray, max_lag: int | None = None) -> IatEstimate:
@@ -90,8 +75,7 @@ def iat(values: np.ndarray, max_lag: int | None = None) -> IatEstimate:
     if max_lag is None:
         max_lag = min(n // 2, _DEFAULT_MAX_LAG)
     max_lag = min(max_lag, n - 1)
-    acf = autocorr(x, max_lag)
-    rho = acf.rho
+    rho = autocorr(x, max_lag)
     # rho(K) + rho(K+1) for K = 1, 3, 5, ... while K + 1 <= max_lag
     neg = np.flatnonzero(rho[1:max_lag:2] + rho[2:max_lag + 1:2] < 0.0)
     trunc = 2 * int(neg[0]) + 1 if neg.size else max_lag

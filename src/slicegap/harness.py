@@ -188,8 +188,7 @@ def _iat_cell(args: tuple) -> dict:
     init_radius = float(max(d - 1, 1))
     burn = n_it // 10
     t0 = time.perf_counter()
-    trace = run_x_chain(target, fac, n_it + burn, init_radius, seed)
-    est = iat(trace.values[burn:])
+    est = iat(run_x_chain(target, fac, n_it + burn, init_radius, seed)[burn:])
     wall_ms = (time.perf_counter() - t0) * 1e3
     return {
         "d": d, "sampler": sampler, "rep": rep, "seed": seed,

@@ -235,17 +235,16 @@ def _assemble(grid: TGrid, fine: np.ndarray, lv_log: np.ndarray) -> DiscreteKern
                           weights=w / total, grid=grid)
 
 
-def discretize_pt(ell: LevelSetFunction, grid: TGrid,
-                  refine: int = _REFINE) -> DiscreteKernel:
+def discretize_pt(ell: LevelSetFunction, grid: TGrid) -> DiscreteKernel:
     """Assemble the discrete level-chain kernel from ``ell`` alone.
 
-    Each grid cell is refined into ``refine`` log-uniform subintervals; the
+    Each grid cell is refined into 16 log-uniform subintervals; the
     Stieltjes measure is realized as differences of ``ell`` across the
     refinement and placed at geometric midpoints.  The lowest cell is
     extended to level 0 so that the kernel's image measure is not
     truncated.
     """
-    fine = _refinement(grid.boundaries, refine)
+    fine = _refinement(grid.boundaries, _REFINE)
     return _assemble(grid, fine, ell.log(fine))
 
 
@@ -357,11 +356,14 @@ class DualityReport:
 
 
 def duality_gap_compare(ell_a: LevelSetFunction, ell_b: LevelSetFunction,
-                        n: int = 1024, mass_tol: float = 1e-8,
-                        n_probe: int = 50) -> DualityReport:
-    """Compare two level-set functions and the gaps of their level chains."""
+                        n: int = 1024, mass_tol: float = 1e-8) -> DualityReport:
+    """Compare two level-set functions and the gaps of their level chains.
+
+    ``max_ell_abs_diff`` is taken over 50 evenly spaced interior points of
+    ``ell_a``'s grid of ``n`` cells, on which both gaps are computed.
+    """
     grid = build_tgrid(ell_a, n, mass_tol)
-    probes = np.linspace(grid.boundaries[0], grid.boundaries[-1], n_probe + 2)[1:-1]
+    probes = np.linspace(grid.boundaries[0], grid.boundaries[-1], 52)[1:-1]
     va = ell_a.eval(probes)
     vb = ell_b.eval(probes)
     abs_diff = float(np.max(np.abs(va - vb)))
@@ -370,18 +372,17 @@ def duality_gap_compare(ell_a: LevelSetFunction, ell_b: LevelSetFunction,
     return DualityReport(max_ell_abs_diff=abs_diff, gap_a=gap_a, gap_b=gap_b)
 
 
-def transition_cdf(ell: LevelSetFunction, log_t: float, log_b: float,
-                   refine_total: int = 1 << 16) -> float:
+def transition_cdf(ell: LevelSetFunction, log_t: float, log_b: float) -> float:
     """P(next level < b | current level t), by quadrature of the kernel.
 
     Evaluates ``(1/ell(t)) int_t^sup min(b, s)/s d(-ell)(s)`` with the
     Stieltjes measure realized as differences of ``ell`` on a log-uniform
-    refinement of (t, sup).
+    refinement of (t, sup) into 2^16 subintervals.
     """
     s_sup = ell.log_support_sup
     if not log_t < s_sup:
         raise DomainError("current level is outside the support")
-    s = np.linspace(log_t, s_sup, refine_total + 1)
+    s = np.linspace(log_t, s_sup, (1 << 16) + 1)
     lv_log = ell.log(s)
     top = lv_log[0]
     lv = np.where(np.isfinite(lv_log), np.exp(lv_log - top), 0.0)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -50,7 +50,6 @@ __all__ = [
     "level_bounds",
     "level_set_function",
     "lambda_k_check",
-    "default_probe",
     "canonical_inverse_phi",
     "canonical_potential",
 ]
@@ -72,7 +71,7 @@ _U_TOL = 4.0 * np.finfo(float).eps
 _REL_TOL = 1e-13
 # canonical_potential: deepest s below the support supremum that it searches.
 _MAX_DEPTH = 700.0
-# default_probe: points, and the depth in s = -log t that they span.
+# lambda_k_check's probe grid: points, and the depth in s = -log t that they span.
 _PROBE_POINTS = 200
 _PROBE_DEPTH = 40.0
 
@@ -182,9 +181,11 @@ def slice_profile(target: RadialTarget, fac: RadialFactorization) -> SliceProfil
     if r_mode > 0.0:
         log_sup = log_h(target, fac, r_mode)
     else:
-        eps = min(1e-100, target.kappa * 0.5)
-        log_sup = log_h(target, fac, eps)
-        if log_h(target, fac, eps * 1e-50) > log_sup + 1e-6 * (1.0 + abs(log_sup)):
+        # The supremum is the limit at 0: the profile at the smallest
+        # positive float, or +inf if that is well above it at 1e-100.
+        log_sup = log_h(target, fac, min(math.ulp(0.0), target.kappa * 0.5))
+        ref = log_h(target, fac, min(1e-100, target.kappa * 0.5))
+        if log_sup > ref + 1e-6 * (1.0 + abs(ref)):
             log_sup = math.inf
     return SliceProfile(target, fac.alpha, r_mode, log_sup)
 
@@ -419,14 +420,12 @@ class LevelSetFunction:
     """A decreasing level-set function, evaluated in log domain.
 
     ``log_eval`` maps an array of natural-log levels to log values
-    (``-inf`` where the level set is empty), ``log_support_sup`` is the log
-    of ``sup{t : ell(t) > 0}`` and ``limit_L`` is ``lim_{t -> 0} ell(t)``.
+    (``-inf`` where the level set is empty) and ``log_support_sup`` is the
+    log of ``sup{t : ell(t) > 0}``.
     """
 
     log_eval: Callable[[np.ndarray], np.ndarray]
     log_support_sup: float
-    limit_L: float = math.inf
-    label: str = ""
 
     def log(self, log_t):
         lt = np.atleast_1d(np.asarray(log_t, dtype=float))
@@ -445,10 +444,6 @@ def level_set_function(target: RadialTarget, fac: RadialFactorization) -> LevelS
     log_sup = prof.log_sup
     beta = target.dim - fac.alpha
     log_sigma = log_surface_area(target.dim)
-    if math.isfinite(target.kappa):
-        limit = math.exp(log_sigma - math.log(beta) + beta * math.log(target.kappa))
-    else:
-        limit = math.inf
 
     def log_eval(lt: np.ndarray) -> np.ndarray:
         """Log of ell at the log levels ``lt``; -inf at and above the
@@ -468,9 +463,7 @@ def level_set_function(target: RadialTarget, fac: RadialFactorization) -> LevelS
             out[inside] = vals
         return out
 
-    label = f"{target.tag}/alpha={fac.alpha}/d={target.dim}"
-    return LevelSetFunction(log_eval=log_eval, log_support_sup=log_sup,
-                           limit_L=limit, label=label)
+    return LevelSetFunction(log_eval=log_eval, log_support_sup=log_sup)
 
 
 # ---------------------------------------------------------------------------
@@ -496,33 +489,22 @@ class MembershipReport:
         }
 
 
-def default_probe(ell: LevelSetFunction) -> np.ndarray:
-    """Uniform probe grid in ``s = -log t`` inside the open support."""
-    s0 = -ell.log_support_sup
-    if not math.isfinite(s0):
-        raise DomainError("default probe needs a finite support supremum")
-    return s0 + np.linspace(_PROBE_DEPTH / _PROBE_POINTS, _PROBE_DEPTH, _PROBE_POINTS)
-
-
-def lambda_k_check(ell: LevelSetFunction, k: int,
-                   probe: Optional[Sequence[float]] = None) -> MembershipReport:
+def lambda_k_check(ell: LevelSetFunction, k: int) -> MembershipReport:
     """Check boundary limits, strict decrease and k-th-root concavity.
 
-    The third condition tests nonpositive second differences of
-    ``s -> ell(exp(-s))^{1/k}``, the transformed statement of log-concavity
-    of the inverse.
+    The checks run on 200 evenly spaced points ``s = -log t`` over the 40
+    units of ``s`` above ``s0 = -log_support_sup``, inside the open support;
+    ``s0`` must be finite.  The third condition tests nonpositive second
+    differences of ``s -> ell(exp(-s))^{1/k}``, the transformed statement
+    of log-concavity of the inverse.
     """
     if k < 1 or k != int(k):
         raise DomainError(f"k must be a positive integer, got {k}")
     k = int(k)
-    if probe is None:
-        probe = default_probe(ell)
-    s = np.asarray(probe, dtype=float)
-    if s.size < 100:
-        raise DomainError("probe grid must contain at least 100 points")
     s0 = -ell.log_support_sup
-    if np.any(s <= s0):
-        raise DomainError("probe grid extends outside the open support")
+    if not math.isfinite(s0):
+        raise DomainError("the class check needs a finite support supremum")
+    s = s0 + np.linspace(_PROBE_DEPTH / _PROBE_POINTS, _PROBE_DEPTH, _PROBE_POINTS)
 
     logf = ell.log(-s)
     if np.any(~np.isfinite(logf)):

@@ -28,9 +28,7 @@ and every redraw loop is capped.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +45,6 @@ from .levelset import (
 from .targets import RadialFactorization, RadialTarget, log_h
 
 __all__ = [
-    "Trace",
     "make_rng",
     "t_update",
     "x_update_radius",
@@ -68,30 +65,6 @@ _RADIAL_TAIL_DEPTH = 80.0
 _LEVEL_TAIL_DEPTH = 34.0
 # Steps taken at once when one-step transitions are counted, not kept.
 _STEP_BLOCK = 1 << 16
-
-
-@dataclass
-class Trace:
-    """Chain output: summary values, the seed and run metadata."""
-
-    values: np.ndarray
-    seed: int
-    meta: dict = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def to_csv(self, path: str) -> None:
-        """Write (step, value) rows plus a JSON metadata sidecar."""
-        with open(path, "w") as fh:
-            fh.write("step,value\n")
-            for i, v in enumerate(self.values):
-                fh.write(f"{i},{v!r}\n")
-        sidecar = dict(self.meta)
-        sidecar["seed"] = int(self.seed)
-        sidecar["n"] = len(self.values) - 1
-        with open(str(path) + ".json", "w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
 
 
 def make_rng(base_seed: int, chain_index: int = 0) -> np.random.Generator:
@@ -174,10 +147,7 @@ def _inverse_cdf_radius(r_lo: float, r_hi: float, u: float, beta: float) -> floa
         q = 0.0
     else:
         q = math.exp(beta * (math.log(r_lo) - math.log(r_hi)))
-    inner = q + u * (1.0 - q)
-    if inner <= 0.0:
-        return r_lo
-    return r_hi * math.exp(math.log(inner) / beta)
+    return r_hi * math.exp(math.log(q + u * (1.0 - q)) / beta)
 
 
 def _inverse_cdf_radius_vec(r_lo, r_hi, u, beta: float) -> np.ndarray:
@@ -186,10 +156,7 @@ def _inverse_cdf_radius_vec(r_lo, r_hi, u, beta: float) -> np.ndarray:
     q = np.zeros_like(r_hi)
     pos = r_lo > 0.0
     q[pos] = np.exp(beta * (np.log(r_lo[pos]) - np.log(r_hi[pos])))
-    inner = q + u * (1.0 - q)
-    return np.where(inner > 0.0,
-                    r_hi * np.exp(np.log(np.where(inner > 0.0, inner, 1.0)) / beta),
-                    r_lo)
+    return r_hi * np.exp(np.log(q + u * (1.0 - q)) / beta)
 
 
 def _half_steps(target: RadialTarget, fac: RadialFactorization):
@@ -231,35 +198,30 @@ def _alternate(first, second, x0: float, n: int,
     return values
 
 
-def _chain_meta(chain: str, target: RadialTarget, fac: RadialFactorization,
-                n: int, **extra) -> dict:
-    return {"chain": chain, "target": target.tag, "alpha": fac.alpha,
-            "d": target.dim, "n": n, **extra}
-
-
 def run_x_chain(target: RadialTarget, fac: RadialFactorization,
-                n: int, init_radius: float, seed: int) -> Trace:
-    """Alternate level and set updates for ``n`` steps; length-(n+1) trace.
+                n: int, init_radius: float, seed: int) -> np.ndarray:
+    """Alternate level and set updates for ``n`` steps from ``init_radius``.
 
-    Records the radius ``||x||``.
+    Returns the ``(n + 1,)`` array of radii ``||x||``, the first being
+    ``init_radius``.
     """
     level, radius, _ = _half_steps(target, fac)
     if not (0.0 < init_radius < target.kappa):
         raise DomainError(f"init_radius={init_radius} outside (0, kappa)")
-    values = _alternate(level, radius, float(init_radius), n, make_rng(seed, 0))
-    meta = _chain_meta("x", target, fac, n, init_radius=init_radius)
-    return Trace(values=values, seed=seed, meta=meta)
+    return _alternate(level, radius, float(init_radius), n, make_rng(seed, 0))
 
 
 def run_t_chain(target: RadialTarget, fac: RadialFactorization,
-                n: int, init_log_t: float, seed: int) -> Trace:
-    """Auxiliary level chain: set update then level update; records log t."""
+                n: int, init_log_t: float, seed: int) -> np.ndarray:
+    """Auxiliary level chain: set update then level update, for ``n`` steps.
+
+    Returns the ``(n + 1,)`` array of log levels ``log t``, the first being
+    ``init_log_t``.
+    """
     level, radius, log_sup = _half_steps(target, fac)
     if not init_log_t < log_sup:
         raise DomainError("init_log_t is not inside the support of the level chain")
-    values = _alternate(radius, level, float(init_log_t), n, make_rng(seed, 0))
-    meta = _chain_meta("t", target, fac, n, init_log_t=init_log_t)
-    return Trace(values=values, seed=seed, meta=meta)
+    return _alternate(radius, level, float(init_log_t), n, make_rng(seed, 0))
 
 
 # ---------------------------------------------------------------------------

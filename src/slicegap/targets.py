@@ -14,7 +14,7 @@ from __future__ import annotations
 import inspect
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -80,7 +80,6 @@ class RadialTarget:
     kappa: float = math.inf
     dim: int = 1
     tag: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.dim < 1 or self.dim != int(self.dim):
@@ -174,7 +173,7 @@ def volcano(dim: int, c: float = 2.0) -> RadialTarget:
         raise DomainError(f"volcano offset must be positive, got {c}")
     return RadialTarget(
         phi=lambda r: (r - c) ** 2, dphi=lambda r: 2.0 * (r - c),
-        kappa=math.inf, dim=dim, tag="volcano", params={"c": c},
+        kappa=math.inf, dim=dim, tag="volcano",
     )
 
 

@@ -106,7 +106,7 @@ def test_criterion_3_ell_equivalence_and_duality():
         oned = RadialTarget(phi=lambda r, c=c: c * r, dphi=lambda r, c=c: c,
                             dim=1, tag="exp1d")
         ell_uss = level_set_function(oned, USS())
-        rep = duality_gap_compare(ell_pss, ell_uss, n=1024, n_probe=50)
+        rep = duality_gap_compare(ell_pss, ell_uss, n=1024)
         worst_ell = max(worst_ell, rep.max_ell_abs_diff)
         worst_gap_diff = max(worst_gap_diff, rep.gap_diff)
         min_gap = min(min_gap, rep.gap_a, rep.gap_b)

@@ -52,6 +52,8 @@ class TestConfig:
         with pytest.raises(DomainError):
             ExperimentConfig(n_it=5)
         with pytest.raises(DomainError):
+            ExperimentConfig(n_rep=0)
+        with pytest.raises(DomainError):
             ExperimentConfig(target="mystery")
         with pytest.raises(DomainError):
             ExperimentConfig(samplers=("metropolis",))
@@ -72,6 +74,10 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"dims": [2], "mystery_knob": 1}))
         with pytest.raises(DomainError):
+            ExperimentConfig.from_json(str(path))
+        # a config file holds one JSON object, not a list of them
+        path.write_text(json.dumps([{"dims": [2]}]))
+        with pytest.raises(DomainError, match="JSON object"):
             ExperimentConfig.from_json(str(path))
 
 
@@ -266,8 +272,7 @@ class TestVerifyGuards:
             s = np.asarray(s, dtype=float)
             return np.where(s < 0.0, -s + 0.4 * np.sin(10.0 * s), -np.inf)
 
-        ell = LevelSetFunction(log_eval=bumpy, log_support_sup=0.0,
-                               limit_L=math.inf, label="corrupted")
+        ell = LevelSetFunction(log_eval=bumpy, log_support_sup=0.0)
         with pytest.raises(InvalidLevelSetError):
             discretize_pt(ell, TGrid(boundaries=np.linspace(-4.0, -1e-6, 33)))
 

@@ -44,8 +44,7 @@ def linear_ell():
         with np.errstate(divide="ignore"):
             out = np.where(s < 0.0, np.log1p(-t), -np.inf)
         return out
-    return LevelSetFunction(log_eval=log_eval, log_support_sup=0.0,
-                            limit_L=1.0, label="linear")
+    return LevelSetFunction(log_eval=log_eval, log_support_sup=0.0)
 
 
 def logarithmic_ell():
@@ -56,8 +55,7 @@ def logarithmic_ell():
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(s < 0.0, math.log(sigma) + np.log(-s), -np.inf)
         return out
-    return LevelSetFunction(log_eval=log_eval, log_support_sup=0.0,
-                            limit_L=math.inf, label="log")
+    return LevelSetFunction(log_eval=log_eval, log_support_sup=0.0)
 
 
 def stationary_weights(ell: LevelSetFunction, grid: TGrid) -> np.ndarray:
@@ -159,6 +157,13 @@ class TestTGrid:
         with pytest.raises(DomainError):
             build_tgrid(ell, 64)
 
+    def test_mass_that_never_concentrates_rejected(self):
+        # ell(t) = 1/t: the level density ell(e^s) e^s is flat in s, so no
+        # window up to depth 131072 holds its mass
+        ell = LevelSetFunction(log_eval=lambda lt: -lt, log_support_sup=0.0)
+        with pytest.raises(DomainError, match="does not concentrate"):
+            build_tgrid(ell, 64)
+
 
 class TestStationaryWeights:
     def test_weights_normalized(self):
@@ -195,7 +200,8 @@ class TestDiscretizePt:
         # ell = 1 - t over cells (0, 1/2), (1/2, 1); closed forms from
         # F_ij = integral over the cells of log(1/max(t, u))
         grid = TGrid(boundaries=np.log(np.array([1e-9, 0.5, 1.0])))
-        dk = discretize_pt(linear_ell(), grid, refine=2048)
+        fine = kernelmod._refinement(grid.boundaries, 2048)
+        dk = kernelmod._assemble(grid, fine, linear_ell().log(fine))
         m_aa = (0.25 * math.log(2.0) + 0.125) / 0.375
         m_ba = 0.5 * (0.5 - 0.5 * math.log(2.0)) / 0.125
         expected = np.array([[m_aa, 1.0 - m_aa], [m_ba, 1.0 - m_ba]])
@@ -238,7 +244,7 @@ class TestDiscretizePt:
         def recording(lt):
             seen.append(lt.copy())
             return ell.log_eval(lt)
-        discretize_pt(replace(ell, log_eval=recording), grid, refine=16)
+        discretize_pt(replace(ell, log_eval=recording), grid)
         b = grid.boundaries
         cellwise = np.concatenate([np.linspace(b[i], b[i + 1], 17)[:-1]
                                    for i in range(300)] + [b[-1:]])
@@ -258,11 +264,17 @@ class TestDiscretizePt:
         def bumpy(s):
             s = np.asarray(s, dtype=float)
             return np.where(s < 0.0, -s + 0.5 * np.sin(8.0 * s), -np.inf)
-        ell = LevelSetFunction(log_eval=bumpy, log_support_sup=0.0,
-                               limit_L=math.inf, label="bumpy")
+        ell = LevelSetFunction(log_eval=bumpy, log_support_sup=0.0)
         grid = TGrid(boundaries=np.linspace(-5.0, -1e-6, 65))
         with pytest.raises(InvalidLevelSetError):
             discretize_pt(ell, grid)
+
+    def test_cells_without_flux_rejected(self):
+        # the top cell (1.8, 2.5) lies above the support (0, 1) of
+        # ell = 1 - t, so no level chain moves through it
+        grid = TGrid(boundaries=np.log(np.array([0.2, 0.9, 1.8, 2.5])))
+        with pytest.raises(DegenerateSupportError, match="no flux"):
+            discretize_pt(linear_ell(), grid)
 
 
 class TestSpectralGap:
@@ -417,7 +429,7 @@ class TestTransitionCdf:
         b = grid.boundaries
         for i in (120, 300, 480):
             node = 0.5 * float(b[i] + b[i + 1])  # the cell's log-midpoint
-            direct = transition_cdf(ell, node, float(b[i]), refine_total=1 << 14)
+            direct = transition_cdf(ell, node, float(b[i]))
             via_matrix = float(dk.matrix[i, :i].sum())
             assert abs(direct - via_matrix) < 5e-3
 

@@ -3,6 +3,7 @@
 import ast
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,9 @@ from slicegap import levelset
 from slicegap.errors import DomainError, EmptyLevelError, NoRootError
 from slicegap.harness import DESK_DIMS, ExperimentConfig, row_seed
 from slicegap.levelset import (
+    LevelSetFunction,
     canonical_inverse_phi,
     canonical_potential,
-    default_probe,
     lambda_k_check,
     SliceProfile,
     level_bounds,
@@ -131,6 +132,22 @@ class TestLevelInterval:
         assert r_lo == 0.0
         assert r_hi == pytest.approx(-log_t, rel=1e-12)
         assert math.isfinite(level_set_function(exponential(3), USS()).log(log_t))
+
+    @pytest.mark.parametrize("log_t", [-1e-101, -1e-200, -1e-300])
+    @pytest.mark.parametrize("target, root", [
+        (exponential(3), lambda log_t: -log_t),
+        (gaussian(3), lambda log_t: math.sqrt(-2.0 * log_t)),
+    ], ids=["exponential", "gaussian"])
+    def test_uss_levels_up_to_the_supremum(self, target, root, log_t):
+        # a non-increasing profile's supremum is its limit at r = 0; read at
+        # r = 1e-100 it was -1e-100 for exponential and -5e-201 for gaussian,
+        # and the levels above it raised EmptyLevelError
+        prof = slice_profile(target, USS())
+        assert -1e-320 < prof.log_sup <= 0.0
+        r_lo, r_hi = level_interval(prof, log_t)
+        assert r_lo == 0.0
+        assert r_hi == pytest.approx(root(log_t), rel=1e-12)
+        assert math.isfinite(level_set_function(target, USS()).log(log_t))
 
     def test_vectorized_matches_scalar(self):
         prof = slice_profile(gaussian(6), PSS(6))
@@ -289,7 +306,7 @@ class TestScalarSolver:
                 target = RadialTarget(phi=counted(base.phi), dphi=counted(base.dphi),
                                       dim=d)
                 prof = _stub_profile(target, base, fac)
-                lts = run_t_chain(base, fac, 300, prof.log_sup - 1.0, seed=d).values
+                lts = run_t_chain(base, fac, 300, prof.log_sup - 1.0, seed=d)
                 for lt in lts:
                     level_interval(prof, float(lt))
                 levels += lts.size
@@ -586,11 +603,13 @@ class TestEllEval:
         from slicegap.targets import RadialTarget
         target = RadialTarget(phi=lambda r: -math.log(1.0 - r), kappa=1.0, dim=2)
         ell = level_set_function(target, USS())
-        assert ell.limit_L == pytest.approx(math.pi, rel=1e-12)
+        # the level set fills the unit disc as t -> 0: ell -> pi
+        assert ell.eval(-700.0) == pytest.approx(math.pi, rel=1e-12)
 
     def test_infinite_limit(self):
+        # ell(t) = sigma_2 log(1/t) grows without bound as t -> 0
         ell = level_set_function(radial_weighted_exponential(3), PSS(3))
-        assert math.isinf(ell.limit_L)
+        assert ell.eval(-1e5) == pytest.approx(100.0 * ell.eval(-1e3), rel=1e-12)
 
 
 class TestLambdaK:
@@ -614,9 +633,28 @@ class TestLambdaK:
     def test_probe_validation(self):
         ell = level_set_function(exponential(3), PSS(3))
         with pytest.raises(DomainError):
-            lambda_k_check(ell, 1, probe=np.linspace(1.0, 2.0, 5))
-        with pytest.raises(DomainError):
             lambda_k_check(ell, 0)
+
+    @staticmethod
+    def _checks(log_eval):
+        """The violated checks of ``lambda_k_check`` at k = 1 for an ell
+        with support supremum 1 (log 0)."""
+        ell = LevelSetFunction(log_eval=log_eval, log_support_sup=0.0)
+        return {name for _, name, _ in lambda_k_check(ell, 1).violations}
+
+    def test_constant_ell_violates_boundary_and_decrease(self):
+        # ell = 1 below the supremum: no vanishing at the edge, no decrease
+        flat = lambda lt: np.where(lt < 0.0, 0.0, -np.inf)
+        assert self._checks(flat) == {"boundary_limit", "strict_decrease"}
+
+    def test_increasing_ell_violates_positive_limit(self):
+        # ell = t^30 underflows to 0 at the deep end of the probe grid
+        assert "positive_limit" in self._checks(lambda lt: 30.0 * lt)
+
+    def test_infinite_support_rejected(self):
+        ell = LevelSetFunction(log_eval=lambda lt: -lt, log_support_sup=math.inf)
+        with pytest.raises(DomainError, match="finite support"):
+            lambda_k_check(ell, 1)
 
     def test_report_serializes(self):
         ell = level_set_function(exponential(3), PSS(3))
@@ -674,7 +712,15 @@ class TestCanonicalConstruction:
 
 class TestDefaultProbe:
     def test_inside_open_support(self):
+        # lambda_k_check probes 200 levels, all inside the open support
         ell = level_set_function(exponential(4), PSS(4))
-        probe = default_probe(ell)
+        calls = []
+
+        def recording(lt):
+            calls.append(np.array(lt))
+            return ell.log_eval(lt)
+
+        lambda_k_check(replace(ell, log_eval=recording), 1)
+        probe = calls[0]
         assert probe.size == 200
-        assert np.all(probe > -ell.log_support_sup)
+        assert np.all(probe < ell.log_support_sup)

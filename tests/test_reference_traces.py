@@ -45,7 +45,7 @@ DEPTHS = np.geomspace(1e-6, 100.0, 16)
 def _t_chain_gaussian_pss_3():
     target = gaussian(3)
     sup = slice_profile(target, PSS(3)).log_sup
-    return run_t_chain(target, PSS(3), STEPS, sup - 1.0, seed=404).values
+    return run_t_chain(target, PSS(3), STEPS, sup - 1.0, seed=404)
 
 
 def _x_step_radii_exponential_uss_5():
@@ -76,9 +76,9 @@ def _scalar_solver(target, fac):
 
 CASES = {
     "run_x_chain/exponential/pss/d=10":
-        lambda: run_x_chain(exponential(10), PSS(10), STEPS, 9.0, seed=101).values,
+        lambda: run_x_chain(exponential(10), PSS(10), STEPS, 9.0, seed=101),
     "run_x_chain/exponential/uss/d=30":
-        lambda: run_x_chain(exponential(30), USS(), STEPS, 29.0, seed=202).values,
+        lambda: run_x_chain(exponential(30), USS(), STEPS, 29.0, seed=202),
     "run_t_chain/gaussian/pss/d=3": _t_chain_gaussian_pss_3,
     "x_step_radii/exponential/uss/d=5": _x_step_radii_exponential_uss_5,
     "t_step_levels/gaussian/pss/d=5": _t_step_levels_gaussian_pss_5,

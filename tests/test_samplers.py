@@ -1,7 +1,6 @@
 """Tests for chain updates, chain runners and the stationary oracles."""
 
 import ast
-import json
 import math
 import tracemalloc
 import warnings
@@ -147,14 +146,14 @@ class TestXUpdateRadius:
 class TestXChain:
     def test_zero_steps(self):
         tr = run_x_chain(exponential(3), PSS(3), 0, 1.5, seed=1)
-        assert len(tr) == 1 and tr.values[0] == 1.5
+        assert isinstance(tr, np.ndarray) and tr.shape == (1,) and tr[0] == 1.5
 
     def test_determinism(self):
         a = run_x_chain(gaussian(4), PSS(4), 50, 1.0, seed=42)
         b = run_x_chain(gaussian(4), PSS(4), 50, 1.0, seed=42)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
         c = run_x_chain(gaussian(4), PSS(4), 50, 1.0, seed=43)
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(a, c)
 
     def test_invalid_init(self):
         with pytest.raises(DomainError):
@@ -190,14 +189,14 @@ class TestTChain:
         target = exponential(3)
         sup = slice_profile(target, PSS(3)).log_sup
         tr = run_t_chain(target, PSS(3), 0, sup - 1.0, seed=1)
-        assert len(tr) == 1
+        assert isinstance(tr, np.ndarray) and tr.shape == (1,) and tr[0] == sup - 1.0
 
     def test_determinism(self):
         target = gaussian(3)
         sup = slice_profile(target, PSS(3)).log_sup
         a = run_t_chain(target, PSS(3), 40, sup - 2.0, seed=9)
         b = run_t_chain(target, PSS(3), 40, sup - 2.0, seed=9)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_init_outside_support(self):
         target = exponential(3)
@@ -221,7 +220,7 @@ class TestTChain:
         fac = PSS(4)
         sup = slice_profile(target, fac).log_sup
         tr = run_t_chain(target, fac, 500, sup - 1.0, seed=4)
-        assert np.all(tr.values < sup)
+        assert np.all(tr < sup)
 
 
 class TestStationaryOracles:
@@ -243,18 +242,6 @@ class TestStationaryOracles:
     def test_monotone_cdf(self):
         sampler = RadialStationarySampler(exponential(3))
         assert np.all(np.diff(sampler.cdf) >= 0)
-
-
-class TestTraceSerialization:
-    def test_csv_and_sidecar(self, tmp_path):
-        tr = run_x_chain(exponential(2), USS(), 10, 1.0, seed=5)
-        path = str(tmp_path / "trace.csv")
-        tr.to_csv(path)
-        lines = open(path).read().strip().splitlines()
-        assert lines[0] == "step,value"
-        assert len(lines) == 12
-        meta = json.load(open(path + ".json"))
-        assert meta["seed"] == 5 and meta["d"] == 2
 
 
 class ZeroStream:
@@ -302,7 +289,7 @@ class TestSetDrawNeverZero:
 
     def test_scalar_half_step(self, monkeypatch):
         monkeypatch.setattr(samplers, "make_rng", lambda *args: OneZeroStream(at=0))
-        r = run_x_chain(exponential(3), USS(), 50, 1.0, seed=1).values
+        r = run_x_chain(exponential(3), USS(), 50, 1.0, seed=1)
         assert np.all(np.isfinite(r)) and np.all(r > 0.0)
 
     def test_oracle_draw(self):
@@ -331,7 +318,7 @@ class TestChainsComposeHalfSteps:
     @pytest.mark.parametrize("target, fac", cases)
     def test_x_chain(self, target, fac):
         prof = slice_profile(target, fac)
-        r = run_x_chain(target, fac, self.n, 1.0, seed=3).values
+        r = run_x_chain(target, fac, self.n, 1.0, seed=3)
         u, v = self.uniforms(3)
         step = x_update_radius(prof, t_update(log_h(target, fac, r[:-1]), u), v)
         np.testing.assert_allclose(step, r[1:], rtol=1e-13, atol=0)
@@ -339,7 +326,7 @@ class TestChainsComposeHalfSteps:
     @pytest.mark.parametrize("target, fac", cases)
     def test_t_chain(self, target, fac):
         prof = slice_profile(target, fac)
-        s = run_t_chain(target, fac, self.n, prof.log_sup - 2.0, seed=4).values
+        s = run_t_chain(target, fac, self.n, prof.log_sup - 2.0, seed=4)
         u, v = self.uniforms(4)
         step = t_update(log_h(target, fac, x_update_radius(prof, s[:-1], u)), v)
         # an absolute error in log t is a relative error in t
@@ -354,12 +341,12 @@ def test_scalar_only_phi_chains_raise_no_warning():
     sup = slice_profile(target, fac).log_sup
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        r = run_x_chain(target, fac, 300, 1.0, seed=5).values
-        s = run_t_chain(target, fac, 300, sup - 1.0, seed=5).values
-    np.testing.assert_allclose(r, run_x_chain(gaussian(3), fac, 300, 1.0, seed=5).values,
+        r = run_x_chain(target, fac, 300, 1.0, seed=5)
+        s = run_t_chain(target, fac, 300, sup - 1.0, seed=5)
+    np.testing.assert_allclose(r, run_x_chain(gaussian(3), fac, 300, 1.0, seed=5),
                                rtol=1e-9)
     np.testing.assert_allclose(s, run_t_chain(gaussian(3), fac, 300, sup - 1.0,
-                                              seed=5).values, rtol=0, atol=1e-9)
+                                              seed=5), rtol=0, atol=1e-9)
 
 
 def test_uniforms_are_drawn_only_by_open_uniforms():

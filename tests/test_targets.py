@@ -159,7 +159,8 @@ class TestFactorization:
 class TestBuiltins:
     def test_tags_resolve(self):
         assert make_builtin("exponential", 4).tag == "exponential"
-        assert make_builtin("Volcano", 4, c=3.0).params == {"c": 3.0}
+        volcano3 = make_builtin("Volcano", 4, c=3.0)
+        assert volcano3.tag == "volcano" and volcano3.phi(3.0) == 0.0  # ridge at c
         with pytest.raises(DomainError):
             make_builtin("mystery", 3)
 
