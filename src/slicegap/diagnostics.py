@@ -35,7 +35,6 @@ class IatEstimate:
 
     iat: float
     truncation_lag: int
-    n: int
 
 
 def autocorr(values: np.ndarray, max_lag: int) -> np.ndarray:
@@ -80,7 +79,7 @@ def iat(values: np.ndarray, max_lag: int | None = None) -> IatEstimate:
     neg = np.flatnonzero(rho[1:max_lag:2] + rho[2:max_lag + 1:2] < 0.0)
     trunc = 2 * int(neg[0]) + 1 if neg.size else max_lag
     value = 1.0 + 2.0 * float(np.sum(rho[1:trunc]))
-    return IatEstimate(iat=value, truncation_lag=trunc, n=n)
+    return IatEstimate(iat=value, truncation_lag=trunc)
 
 
 def iat_bound_from_gap(gap: float) -> float:

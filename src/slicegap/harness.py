@@ -402,10 +402,10 @@ def adjointness_check(target, fac) -> float:
 
     # dense radial grid for all quadratures
     r = np.linspace(r_a, r_hi_rad, (1 << 17) + 1)
-    log_rho = (d - 1) * np.log(r) - target.phi_vec(r)
+    log_rho = (d - 1) * np.log(r) - target.phi(r)
     rho = np.exp(log_rho - np.max(log_rho))           # scaled radial density
     c_norm = _simpson(rho, r)                         # scaled normalization
-    p1 = np.exp(alpha * np.log(r) - target.phi_vec(r))  # slice profile
+    p1 = np.exp(alpha * np.log(r) - target.phi(r))  # slice profile
 
     prof = slice_profile(target, fac)
     s_sup = prof.log_sup

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable
 
 import numpy as np
@@ -198,8 +198,9 @@ def level_interval(prof: SliceProfile, log_t: float) -> tuple[float, float]:
     """``(r_lo, r_hi)`` solving ``log_h(r) = log_t`` on both branches of the
     profile.  Each root is bracketed by a search from the mode (or, for a
     non-increasing profile, from an anchor above the level found by
-    deepening toward 0), then solved by the safeguarded Newton iteration in
-    ``log r`` (``_newton_scalar``), started at the search's last point."""
+    deepening toward 0, then at the smallest positive float), then solved by
+    the safeguarded Newton iteration in ``log r`` (``_newton_scalar``),
+    started at the search's last point."""
     if not log_t < prof.log_sup:
         raise EmptyLevelError(
             f"log_t={log_t} is not below the profile supremum {prof.log_sup}"
@@ -213,7 +214,9 @@ def level_interval(prof: SliceProfile, log_t: float) -> tuple[float, float]:
     # --- lower endpoint --------------------------------------------------
     r_lo = 0.0
     if r_mode == 0.0:
-        for anchor in _deepening(min(1.0, 0.5 * target.kappa)):
+        # Deepening stops at 2**-1024; the smallest positive float comes
+        # last, for levels above the profile there, next to its supremum.
+        for anchor in chain(_deepening(min(1.0, 0.5 * target.kappa)), (math.ulp(0.0),)):
             if lh(anchor) >= log_t:
                 break
         else:
@@ -316,8 +319,8 @@ def _newton_log_radius(target: RadialTarget, alpha: float, log_t: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_EXPANSIONS):
             r = np.exp(u)
-            g = alpha * u - target.phi_vec(r) - lt
-            dg = alpha - r * target.dphi_vec(r)
+            g = alpha * u - target.phi(r) - lt
+            dg = alpha - r * target.dphi(r)
             up = g > 0.0
             xa = np.where(up, u, xa)
             xb = np.where(up, xb, u)

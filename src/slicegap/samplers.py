@@ -16,10 +16,10 @@ state and a uniform: ``t_update`` and ``x_update_radius`` on arrays, and
 one scalar pair that both chains run through one loop; each chain takes
 its level intervals from its own ladder of solved levels
 (``levelset._ladder``), whose rungs bracket the levels it visits.  The
-one-step maps are the two vector half-steps composed.  The set draw
-broadcasts its levels against its uniforms and ``t_step_levels`` takes
-numpy's ``size``; both solve level intervals only on the levels given, so
-many draws from one level cost one root solve.  The fraction of steps
+one-step maps are the two vector half-steps composed, one step per
+element of their radii or levels.  The set draw broadcasts its levels
+against its uniforms and solves level intervals only on the levels given,
+so many draws from one level cost one root solve.  The fraction of steps
 from one level that land below it is counted in blocks of steps from the
 same uniforms, so beyond the uniforms its memory does not grow with the
 number of steps.  The two stationary oracles share one grid inverse CDF,
@@ -94,14 +94,6 @@ def _open_unit(u) -> np.ndarray:
     return u
 
 
-def _broadcast_shape(*shapes) -> tuple:
-    """Numpy's broadcast of ``shapes``; a DomainError if there is none."""
-    try:
-        return np.broadcast_shapes(*shapes)
-    except ValueError:
-        raise DomainError(f"shapes {shapes} do not broadcast") from None
-
-
 def t_update(log_h_x, u):
     """Log level of a uniform draw on (0, h(x)): ``log h(x) + log u``."""
     out = np.asarray(log_h_x, dtype=float) + np.log(_open_unit(u))
@@ -125,7 +117,10 @@ def x_update_radius(prof: SliceProfile, log_t, u):
     """
     u = _open_unit(u)
     log_t = np.asarray(log_t, dtype=float)
-    _broadcast_shape(log_t.shape, u.shape)  # fail before the solve, not after
+    try:  # fail before the solve, not after
+        np.broadcast_shapes(log_t.shape, u.shape)
+    except ValueError:
+        raise DomainError(f"shapes {log_t.shape} and {u.shape} do not broadcast") from None
     r_lo, r_hi = (r.reshape(log_t.shape) for r in level_bounds(prof, log_t))
     out = _radius_in(prof, r_lo, r_hi, u)
     if out.ndim == 0:
@@ -238,38 +233,26 @@ def x_step_radii(target: RadialTarget, fac: RadialFactorization,
 
 
 def t_step_levels(target: RadialTarget, fac: RadialFactorization,
-                  log_t: np.ndarray, rng: np.random.Generator,
-                  size=None) -> np.ndarray:
-    """Independent auxiliary-chain steps from the levels ``log_t``.
+                  log_t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One independent auxiliary-chain step from each of the levels ``log_t``.
 
-    ``size`` is the output shape, as in numpy's samplers, and ``log_t``
-    must broadcast to it; by default there is one step per element of
-    ``log_t``.  ``N`` steps from one level ``s0`` are
-    ``t_step_levels(target, fac, s0, rng, size=N)``, which solves that
-    level's interval once.
+    ``N`` steps from one level ``s0`` are
+    ``t_step_levels(target, fac, np.full(N, s0), rng)``; ``level_bounds``
+    solves that level's interval once per chunk of 8192 levels.
     """
-    return _t_step_levels(slice_profile(target, fac), log_t, rng, size)
-
-
-def _t_step_levels(prof: SliceProfile, log_t, rng: np.random.Generator,
-                   size=None) -> np.ndarray:
-    """:func:`t_step_levels` on a solved slice profile."""
+    prof = slice_profile(target, fac)
     log_t = np.asarray(log_t, dtype=float)
-    shape = log_t.shape if size is None else _broadcast_shape(size)
-    if _broadcast_shape(log_t.shape, shape) != shape:
-        raise DomainError(f"log_t of shape {log_t.shape} does not broadcast "
-                          f"to size {shape}")
-    r = x_update_radius(prof, log_t, _open_uniforms(rng, shape))
-    fac = RadialFactorization(prof.alpha)
-    return t_update(log_h(prof.target, fac, r), _open_uniforms(rng, shape))
+    r = x_update_radius(prof, log_t, _open_uniforms(rng, log_t.shape))
+    return t_update(log_h(target, fac, r), _open_uniforms(rng, log_t.shape))
 
 
 def _fraction_stepped_below(prof: SliceProfile, s0: float, rng: np.random.Generator,
                             n: int) -> float:
-    """``np.mean(_t_step_levels(prof, s0, rng, size=n) < s0)``, bit for bit
-    and from the same uniforms, in bounded memory: the level's interval is
-    solved once and the ``n`` steps are taken and counted in blocks of
-    ``_STEP_BLOCK``, so no temporary but the uniforms holds ``n`` values."""
+    """``np.mean(t_step_levels(target, fac, np.full(n, s0), rng) < s0)`` on
+    the profile's target and factorization, bit for bit and from the same
+    uniforms, in bounded memory: the level's interval is solved once and the
+    ``n`` steps are taken and counted in blocks of ``_STEP_BLOCK``, so no
+    temporary but the uniforms holds ``n`` values."""
     u_set = _open_uniforms(rng, n)
     u_level = _open_uniforms(rng, n)
     r_lo, r_hi = level_bounds(prof, s0)
@@ -314,7 +297,7 @@ class RadialStationarySampler(_GridInverseCdf):
         grid = np.linspace(r_lo, r_hi, _ORACLE_CELLS + 1)
         logpdf = np.full(grid.shape, -math.inf)
         pos = grid > 0.0
-        logpdf[pos] = (target.dim - 1) * np.log(grid[pos]) - target.phi_vec(grid[pos])
+        logpdf[pos] = (target.dim - 1) * np.log(grid[pos]) - target.phi(grid[pos])
         super().__init__(grid, logpdf)
 
 

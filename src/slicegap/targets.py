@@ -2,6 +2,8 @@
 
 A target is described entirely by its radial potential ``phi``: the
 unnormalized density is ``exp(-phi(||x||))`` on the ball ``||x|| < kappa``.
+``phi`` and its derivative ``dphi`` take float arrays of radii: the level
+solvers evaluate them on many radii at once.
 The factorization splits the density into a radial power weight
 ``||x||^{-alpha}`` and the remaining profile ``||x||^{alpha} exp(-phi)``;
 ``alpha = 0`` gives uniform slice sampling (USS) and ``alpha = d - 1``
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,8 +37,8 @@ __all__ = [
 ]
 
 
-def _finite_difference(phi: Callable[[float], float],
-                       kappa: float = math.inf) -> Callable[[float], float]:
+def _finite_difference(phi: Callable[[np.ndarray], np.ndarray],
+                       kappa: float = math.inf) -> Callable[[np.ndarray], np.ndarray]:
     """Central difference of ``phi`` whose points stay inside ``(0, kappa)``."""
     def dphi(r):
         h = np.minimum(np.maximum(1e-6, 1e-6 * np.abs(r)),
@@ -47,36 +48,20 @@ def _finite_difference(phi: Callable[[float], float],
     return dphi
 
 
-def _eval_vec(fn: Callable, name: str, r) -> np.ndarray:
-    """Evaluate ``fn`` on an array, element by element if it is scalar-only.
-
-    A constant result is broadcast to the shape of ``r``.  The per-element
-    fallback is orders of magnitude slower, so every call that takes it
-    emits a ``RuntimeWarning``.
-    """
-    r = np.asarray(r, dtype=float)
-    try:
-        out = np.asarray(fn(r), dtype=float)
-    except (TypeError, ValueError):
-        warnings.warn(
-            f"{name} does not accept arrays; evaluating it element by element",
-            RuntimeWarning, stacklevel=3,
-        )
-        return np.array([fn(float(ri)) for ri in r.ravel()]).reshape(r.shape)
-    return out if out.shape == r.shape else np.broadcast_to(out, r.shape)
-
-
 @dataclass(frozen=True)
 class RadialTarget:
     """Radial potential ``phi``, its derivative, support cutoff and dimension.
 
     The unnormalized density on R^dim is ``exp(-phi(||x||))`` for
-    ``||x|| < kappa`` and zero outside.  ``dphi`` may be omitted, in which
-    case a central finite difference of ``phi`` is used.
+    ``||x|| < kappa`` and zero outside.  ``phi`` and ``dphi`` map a float
+    array of radii to an array of its shape; ``dphi`` may return a constant,
+    or be omitted, in which case a central finite difference of ``phi`` is
+    used.  Both are called once on two radii when the target is built, and
+    one that fails on an array raises a ``DomainError`` naming it.
     """
 
-    phi: Callable[[float], float]
-    dphi: Optional[Callable[[float], float]] = None
+    phi: Callable[[np.ndarray], np.ndarray]
+    dphi: Optional[Callable[[np.ndarray], np.ndarray]] = None
     kappa: float = math.inf
     dim: int = 1
     tag: str = "custom"
@@ -88,14 +73,14 @@ class RadialTarget:
             raise DomainError(f"kappa must be positive, got {self.kappa}")
         if self.dphi is None:
             object.__setattr__(self, "dphi", _finite_difference(self.phi, self.kappa))
-
-    def phi_vec(self, r: np.ndarray) -> np.ndarray:
-        """Vectorized potential evaluation (phi may be scalar-only)."""
-        return _eval_vec(self.phi, "phi", r)
-
-    def dphi_vec(self, r: np.ndarray) -> np.ndarray:
-        """Vectorized derivative evaluation (dphi may be scalar-only)."""
-        return _eval_vec(self.dphi, "dphi", r)
+        probe = np.full(2, min(1.0, 0.5 * self.kappa))
+        for name in ("phi", "dphi"):
+            try:
+                with np.errstate(all="ignore"):
+                    np.broadcast_to(np.asarray(getattr(self, name)(probe), dtype=float), (2,))
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"{name} must map a float array of radii to an array "
+                                  f"of its shape or to a constant: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -132,7 +117,7 @@ def log_h(target: RadialTarget, fac: RadialFactorization, r):
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0.0) or np.any(r_arr >= target.kappa):
         raise DomainError("r must lie strictly inside (0, kappa)")
-    out = fac.alpha * np.log(r_arr) - target.phi_vec(r_arr)
+    out = fac.alpha * np.log(r_arr) - target.phi(r_arr)
     if np.isscalar(r) or r_arr.ndim == 0:
         return float(out)
     return out

@@ -442,7 +442,7 @@ class TestTransitionCdf:
         p = transition_cdf(ell, s0, s0)
         rng = make_rng(2024)
         n = 200_000
-        s1 = t_step_levels(target, fac, s0, rng, size=n)
+        s1 = t_step_levels(target, fac, np.full(n, s0), rng)
         p_mc = float(np.mean(s1 < s0))
         assert abs(p - p_mc) <= 3.0 * math.sqrt(p * (1 - p) / n) + 1e-4
 

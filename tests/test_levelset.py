@@ -149,6 +149,22 @@ class TestLevelInterval:
         assert r_hi == pytest.approx(root(log_t), rel=1e-12)
         assert math.isfinite(level_set_function(target, USS()).log(log_t))
 
+    @pytest.mark.parametrize("log_t", [-1e-310, -1e-320, -1e-323])
+    def test_uss_exponential_subnormal_levels(self, log_t):
+        # the search toward 0 ends at 2**-1024, where e^{-r} is below these
+        # levels; the anchor is then the smallest positive float
+        prof = slice_profile(exponential(3), USS())
+        assert prof.log_sup > log_t
+        r_lo, r_hi = level_interval(prof, log_t)
+        assert r_lo == 0.0 and r_hi == -log_t
+        assert math.isfinite(level_set_function(exponential(3), USS()).log(log_t))
+
+    def test_uss_gaussian_subnormal_level(self):
+        # phi(r) = r^2/2 is itself subnormal next to the root, so only the
+        # bracket is checked
+        r_lo, r_hi = level_interval(slice_profile(gaussian(3), USS()), -1e-320)
+        assert r_lo == 0.0 and 0.0 < r_hi
+
     def test_vectorized_matches_scalar(self):
         prof = slice_profile(gaussian(6), PSS(6))
         lts = prof.log_sup - np.array([0.3, 1.0, 5.0, 20.0])
@@ -251,11 +267,6 @@ class TestVectorizedSolver:
             warnings.simplefilter("error", RuntimeWarning)
             self._check_against_scalar(target, PSS(3), _MANY_DEPTHS)
 
-    def test_scalar_only_phi_warns_and_solves(self):
-        target = RadialTarget(phi=lambda r: 0.5 * math.exp(2.0 * math.log(r)), dim=3)
-        with pytest.warns(RuntimeWarning, match="element by element"):
-            self._check_against_scalar(target, PSS(3), _MANY_DEPTHS)
-
 
 def _unit_ball_barrier():
     """phi = -log(1 - r) in d=3: a finite cutoff at kappa = 1."""
@@ -355,20 +366,23 @@ class TestScalarSolver:
 
     def test_finite_difference_stays_inside_support(self):
         # without dphi, a fixed 1e-6 central-difference step would evaluate
-        # a scalar-only phi outside (0, kappa) near either end of a level
-        barrier = slice_profile(
-            RadialTarget(phi=lambda r: -math.log(1.0 - r), kappa=1.0, dim=2), USS())
+        # phi outside (0, kappa) near either end of a level
+        def phi(r):
+            if np.any((r <= 0.0) | (r >= 1.0)):
+                raise AssertionError("phi evaluated outside (0, 1)")
+            return -np.log(1.0 - r)
+
+        barrier = slice_profile(RadialTarget(phi=phi, kappa=1.0, dim=2), USS())
         _, r_hi = level_interval(barrier, -20.0)
         assert r_hi == pytest.approx(-math.expm1(-20.0), rel=1e-12, abs=0)
         # one level is one scalar solve: levels between rungs are what run
         # the vector Newton iteration and its finite-difference dphi
         lts = np.append(np.linspace(-21.0, -19.0, 3 * levelset._CHUNK_RUNGS), -20.0)
-        with pytest.warns(RuntimeWarning, match="element by element"):
-            _, hi = level_bounds(barrier, lts)
+        _, hi = level_bounds(barrier, lts)
         np.testing.assert_allclose(hi, -np.expm1(lts), rtol=1e-12, atol=0)
         # 2 log r - r^2/2 at 40 below its supremum: root from mpmath
         quadratic = slice_profile(
-            RadialTarget(phi=lambda r: 0.5 * math.exp(2.0 * math.log(r)), dim=3), PSS(3))
+            RadialTarget(phi=lambda r: 0.5 * np.exp(2.0 * np.log(r)), dim=3), PSS(3))
         r_lo, _ = level_interval(quadratic, quadratic.log_sup - 40.0)
         assert r_lo == pytest.approx(1.767983138683731e-09, rel=1e-12, abs=0)
 
@@ -524,25 +538,25 @@ class TestRungs:
         assert np.any(lo == 0.0) and np.any(lo > 0.0)
 
     def test_one_level_is_one_scalar_solve(self, monkeypatch):
-        prof = slice_profile(exponential(5), PSS(5))
-        want = level_interval(prof, prof.log_sup - 2.0)
-        calls = {"level_interval": 0, "phi_vec": 0}
-        solve, phi_vec = levelset.level_interval, RadialTarget.phi_vec
+        base = exponential(5)
+        calls = {"level_interval": 0, "array_phi": 0}
+        solve = levelset.level_interval
 
         def counted_solve(prof, log_t):
             calls["level_interval"] += 1
             return solve(prof, log_t)
 
-        def counted_phi_vec(self, r):
-            calls["phi_vec"] += 1
-            return phi_vec(self, r)
+        def phi(r):
+            calls["array_phi"] += isinstance(r, np.ndarray)
+            return base.phi(r)
 
+        prof = slice_profile(RadialTarget(phi=phi, dphi=base.dphi, dim=5), PSS(5))
+        want = level_interval(prof, prof.log_sup - 2.0)
         monkeypatch.setattr(levelset, "level_interval", counted_solve)
-        monkeypatch.setattr(RadialTarget, "phi_vec", counted_phi_vec)
         for size in (1, 100):
-            calls.update(level_interval=0, phi_vec=0)
+            calls.update(level_interval=0, array_phi=0)
             lo, hi = level_bounds(prof, np.full(size, prof.log_sup - 2.0))
-            assert calls == {"level_interval": 1, "phi_vec": 0}
+            assert calls == {"level_interval": 1, "array_phi": 0}
             assert np.all(lo == want[0]) and np.all(hi == want[1])
 
 
@@ -601,7 +615,7 @@ class TestEllEval:
 
     def test_limit_for_finite_cutoff(self):
         from slicegap.targets import RadialTarget
-        target = RadialTarget(phi=lambda r: -math.log(1.0 - r), kappa=1.0, dim=2)
+        target = RadialTarget(phi=lambda r: -np.log(1.0 - r), kappa=1.0, dim=2)
         ell = level_set_function(target, USS())
         # the level set fills the unit disc as t -> 0: ell -> pi
         assert ell.eval(-700.0) == pytest.approx(math.pi, rel=1e-12)

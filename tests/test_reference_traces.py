@@ -64,7 +64,7 @@ def _t_step_levels_one_level(target, fac, seed):
 
     Saved from ``REPEATS`` copies of the level, one step per copy."""
     s0 = slice_profile(target, fac).log_sup - 3.0
-    return t_step_levels(target, fac, s0, make_rng(seed), size=REPEATS)
+    return t_step_levels(target, fac, np.full(REPEATS, s0), make_rng(seed))
 
 
 def _scalar_solver(target, fac):

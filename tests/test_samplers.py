@@ -334,15 +334,23 @@ class TestChainsComposeHalfSteps:
 
 
 def test_scalar_only_phi_chains_raise_no_warning():
-    # a ladder built with level_bounds would evaluate phi element by element
-    # and warn; both chains solve one level at a time instead
-    target = RadialTarget(phi=lambda r: 0.5 * math.exp(2.0 * math.log(r)), dim=3)
+    # both chains solve one level at a time, so phi never sees an array of
+    # radii, as it would under a ladder built with level_bounds
+    array_calls = [0]
+
+    def phi(r):
+        array_calls[0] += np.ndim(r) > 0
+        return 0.5 * np.exp(2.0 * np.log(r))
+
+    target = RadialTarget(phi=phi, dim=3)
     fac = PSS(3)
     sup = slice_profile(target, fac).log_sup
+    array_calls[0] = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         r = run_x_chain(target, fac, 300, 1.0, seed=5)
         s = run_t_chain(target, fac, 300, sup - 1.0, seed=5)
+    assert array_calls[0] == 0
     np.testing.assert_allclose(r, run_x_chain(gaussian(3), fac, 300, 1.0, seed=5),
                                rtol=1e-9)
     np.testing.assert_allclose(s, run_t_chain(gaussian(3), fac, 300, sup - 1.0,
@@ -395,9 +403,9 @@ class TestProfileSolvedOnce:
 
 
 class TestBroadcasting:
-    """``x_update_radius`` broadcasts ``log_t`` against ``u``, and
-    ``t_step_levels`` broadcasts ``log_t`` to ``size``; both match the call
-    on explicitly repeated levels bitwise."""
+    """``x_update_radius`` broadcasts ``log_t`` against ``u`` and matches
+    the call on explicitly repeated levels bitwise; ``t_step_levels`` on
+    repeated levels matches the steps from the one level."""
 
     @pytest.mark.parametrize("fac", [PSS(5), USS()], ids=["pss", "uss"])
     def test_scalar_level_matches_full_levels(self, fac):
@@ -426,7 +434,7 @@ class TestBroadcasting:
         target, fac = exponential(2), USS()
         r = x_update_radius(slice_profile(target, fac), -2.0, np.linspace(1e-9, 1 - 1e-9, 50))
         assert np.all(np.isfinite(r)) and np.all((r > 0.0) & (r <= 2.0))
-        s1 = t_step_levels(target, fac, -2.0, make_rng(3), size=1000)
+        s1 = t_step_levels(target, fac, np.full(1000, -2.0), make_rng(3))
         assert s1.shape == (1000,) and np.all(np.isfinite(s1))
 
     def test_mismatched_shapes_rejected(self):
@@ -437,31 +445,20 @@ class TestBroadcasting:
     @pytest.mark.parametrize("fac", [PSS(5), USS()], ids=["pss", "uss"])
     def test_steps_from_one_level_match_full_levels(self, fac):
         target = exponential(5)
-        s0 = slice_profile(target, fac).log_sup - 2.0
-        got = t_step_levels(target, fac, s0, make_rng(8), size=500)
+        prof = slice_profile(target, fac)
+        s0 = prof.log_sup - 2.0
+        got = t_step_levels(target, fac, np.full(500, s0), make_rng(8))
         assert got.shape == (500,)
+        rng = make_rng(8)
+        u = samplers._open_uniforms(rng, 500)
+        r = x_update_radius(prof, s0, u)
         np.testing.assert_array_equal(
-            got, t_step_levels(target, fac, np.full(500, s0), make_rng(8)))
-
-    def test_size_is_the_output_shape(self):
-        target, fac = gaussian(3), PSS(3)
-        levels = slice_profile(target, fac).log_sup - np.array([0.5, 2.0, 9.0])
-        got = t_step_levels(target, fac, levels, make_rng(9), size=(2, 3))
-        assert got.shape == (2, 3)
-        np.testing.assert_array_equal(
-            got, t_step_levels(target, fac, np.tile(levels, (2, 1)), make_rng(9)))
-
-    @pytest.mark.parametrize("shape, size", [((4,), 3), ((3,), (3, 1)), ((2,), ())])
-    def test_levels_that_do_not_broadcast_to_size_rejected(self, shape, size):
-        target, fac = gaussian(3), PSS(3)
-        levels = np.full(shape, slice_profile(target, fac).log_sup - 1.0)
-        with pytest.raises(DomainError, match="broadcast"):
-            t_step_levels(target, fac, levels, make_rng(10), size=size)
+            got, t_update(log_h(target, fac, r), samplers._open_uniforms(rng, 500)))
 
 
 class TestLevelSolvedOnce:
-    """Steps from one level solve that level's interval once, however many
-    steps are drawn."""
+    """Steps from one level solve that level's interval once per chunk of
+    levels, however many steps are drawn."""
 
     @pytest.fixture
     def solved(self, monkeypatch):
@@ -475,11 +472,21 @@ class TestLevelSolvedOnce:
         monkeypatch.setattr(samplers, "level_bounds", counted)
         return levels
 
-    def test_t_step_levels_from_one_level(self, solved):
+    def test_t_step_levels_from_one_level(self, monkeypatch):
         target, fac = exponential(5), PSS(5)
         s0 = slice_profile(target, fac).log_sup - 3.0
-        t_step_levels(target, fac, s0, make_rng(1), size=10_000)
-        assert solved[0] == 1
+        solves = [0]
+        solve = levelset.level_interval
+
+        def counted(prof, log_t):
+            solves[0] += 1
+            return solve(prof, log_t)
+
+        monkeypatch.setattr(levelset, "level_interval", counted)
+        for n, chunks in ((levelset._CHUNK, 1), (10_000, 2)):
+            solves[0] = 0
+            t_step_levels(target, fac, np.full(n, s0), make_rng(1))
+            assert solves[0] == chunks
 
     def test_kernel_mc_check_in_blocks(self, monkeypatch):
         # three full blocks and a partial one: each probe is still solved
@@ -496,7 +503,7 @@ class TestLevelSolvedOnce:
         rng = make_rng(7, 0)
         for check in checks:
             s0 = check["log_t"]
-            want = np.mean(samplers._t_step_levels(prof, s0, rng, size=n) < s0)
+            want = np.mean(t_step_levels(prof.target, PSS(5), np.full(n, s0), rng) < s0)
             assert check["monte_carlo"] == want
 
     def test_fraction_below_matches_one_array(self):
@@ -506,7 +513,8 @@ class TestLevelSolvedOnce:
             for depth in (0.3, 4.0):
                 s0 = prof.log_sup - depth
                 got = samplers._fraction_stepped_below(prof, s0, make_rng(11), n)
-                want = np.mean(samplers._t_step_levels(prof, s0, make_rng(11), size=n) < s0)
+                steps = t_step_levels(target, fac, np.full(n, s0), make_rng(11))
+                want = np.mean(steps < s0)
                 assert got == want
 
     def test_kernel_mc_check_memory(self):

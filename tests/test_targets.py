@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from slicegap import targets
 from slicegap.errors import DomainError
+from slicegap.levelset import level_bounds, slice_profile
 from slicegap.targets import (
     RadialFactorization,
     RadialTarget,
@@ -34,13 +35,13 @@ def validate_target(target: RadialTarget) -> None:
     """
     hi = target.kappa if math.isfinite(target.kappa) else 50.0
     probe = np.linspace(hi * 1e-3, hi * 0.99, 64)
-    vals = target.phi_vec(probe)
+    vals = target.phi(probe)
     if not np.all(np.isfinite(vals)):
         raise DomainError("phi is not finite on the interior probe grid")
     if math.isfinite(target.kappa):
         # phi must diverge toward the cutoff.
         deltas = target.kappa * np.array([1e-2, 1e-4, 1e-6, 1e-8])
-        edge = target.phi_vec(target.kappa - deltas)
+        edge = target.phi(target.kappa - deltas)
         if not (np.all(np.diff(edge) > 0) and edge[-1] > vals.mean() + 10.0):
             raise DomainError("phi does not diverge at the finite cutoff kappa")
     fd = targets._finite_difference(target.phi, target.kappa)
@@ -64,7 +65,7 @@ class TestLogH:
         r = np.linspace(0.1, 8.0, 40)
         for target in ALL_BUILTINS:
             vals = log_h(target, RadialFactorization.uss(), r)
-            expected = -target.phi_vec(r)
+            expected = -target.phi(r)
             assert np.allclose(np.exp(vals), np.exp(expected), rtol=1e-12)
 
     def test_volcano_at_its_offset(self):
@@ -78,7 +79,7 @@ class TestLogH:
             log_h(target, fac, 0.0)
         with pytest.raises(DomainError):
             log_h(target, fac, -1.0)
-        bounded = RadialTarget(phi=lambda r: -math.log(1.0 - r), kappa=1.0, dim=2)
+        bounded = RadialTarget(phi=lambda r: -np.log(1.0 - r), kappa=1.0, dim=2)
         with pytest.raises(DomainError):
             log_h(bounded, fac, 1.0)
 
@@ -186,9 +187,8 @@ class TestBuiltins:
             validate_target(bad)
 
     def test_validate_finite_cutoff(self):
-        good = RadialTarget(phi=lambda r: -math.log(1.0 - r), kappa=1.0, dim=2)
-        with pytest.warns(RuntimeWarning, match="element by element"):
-            validate_target(good)
+        good = RadialTarget(phi=lambda r: -np.log(1.0 - r), kappa=1.0, dim=2)
+        validate_target(good)
         bad = RadialTarget(phi=lambda r: r, kappa=1.0, dim=2)
         with pytest.raises(DomainError):
             validate_target(bad)
@@ -212,20 +212,25 @@ class TestConstruction:
         with pytest.raises(DomainError):
             RadialTarget(phi=lambda r: r, kappa=-1.0, dim=2)
 
-    def test_phi_vec_scalar_only_callable(self):
-        target = RadialTarget(phi=lambda r: float(r) + 1.0, dim=2)
-        with pytest.warns(RuntimeWarning, match="element by element"):
-            out = target.phi_vec(np.array([1.0, 2.0]))
-        assert np.allclose(out, [2.0, 3.0])
+    def test_scalar_only_phi_rejected(self):
+        with pytest.raises(DomainError, match="^phi must map a float array"):
+            RadialTarget(phi=lambda r: math.log1p(r), dim=2)
 
-    def test_dphi_vec_scalar_fallback_warns(self):
-        target = RadialTarget(phi=lambda r: float(r) ** 2, dphi=lambda r: 2.0 * float(r),
-                              dim=2)
-        with pytest.warns(RuntimeWarning, match="dphi does not accept arrays"):
-            out = target.dphi_vec(np.array([1.0, 3.0]))
-        np.testing.assert_array_equal(out, [2.0, 6.0])
+    def test_scalar_only_dphi_rejected(self):
+        with pytest.raises(DomainError, match="^dphi must map a float array"):
+            RadialTarget(phi=np.log1p, dphi=lambda r: 1.0 / (1.0 + float(r)), dim=2)
+
+    def test_result_of_another_shape_rejected(self):
+        with pytest.raises(DomainError, match="^phi"):
+            RadialTarget(phi=lambda r: np.append(r, 0.0), dim=2)
 
     def test_dphi_vec_broadcasts_a_constant(self):
-        target = RadialTarget(phi=lambda r: 2.0 * r, dphi=lambda r: 2.0, dim=1)
-        np.testing.assert_array_equal(target.dphi_vec(np.array([0.5, 1.0, 4.0])),
-                                      [2.0, 2.0, 2.0])
+        # a constant dphi solves every level as its array form does
+        const = RadialTarget(phi=lambda r: 2.0 * r, dphi=lambda r: 2.0, dim=3)
+        full = RadialTarget(phi=lambda r: 2.0 * r, dphi=lambda r: np.full_like(r, 2.0),
+                            dim=3)
+        for fac in (RadialFactorization.uss(), RadialFactorization(2.0)):
+            prof = slice_profile(const, fac)
+            levels = prof.log_sup - np.linspace(1e-3, 30.0, 200)
+            np.testing.assert_array_equal(level_bounds(prof, levels),
+                                          level_bounds(slice_profile(full, fac), levels))
