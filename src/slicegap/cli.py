@@ -12,28 +12,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .errors import SliceGapError
-from .harness import ExperimentConfig, check_lambda, gap_table, iat_sweep, \
-    verify, write_iat_csv
+from .harness import PAPER_SCALE, ExperimentConfig, check_lambda, gap_table, \
+    iat_sweep, verify, write_iat_csv
 
 
 def _build_config(args) -> ExperimentConfig:
-    if args.config:
-        cfg = ExperimentConfig.from_json(args.config)
-    else:
-        cfg = ExperimentConfig()
-    if args.paper_scale:
-        overrides = {k: v for k, v in cfg.to_dict().items()
-                     if k not in ("dims", "n_it", "n_rep")}
-        cfg = ExperimentConfig.paper_scale(**overrides)
-    if args.seed is not None:
-        cfg.base_seed = args.seed
-    if args.grid_size is not None:
-        cfg.grid_size = args.grid_size
-    if args.out is not None:
-        cfg.out = args.out
-    return cfg
+    """``--config`` (else the defaults) with ``--paper-scale``, ``--seed``,
+    ``--grid-size`` and ``--out`` merged in by one validating ``replace``."""
+    cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
+    flags = {"base_seed": args.seed, "grid_size": args.grid_size, "out": args.out}
+    return replace(cfg, **(PAPER_SCALE if args.paper_scale else {}),
+                   **{name: v for name, v in flags.items() if v is not None})
 
 
 def _emit_json(payload, out_path):

@@ -63,6 +63,8 @@ __all__ = [
 
 DESK_DIMS = [1, 2, 3, 5, 10, 20, 30]
 PAPER_DIMS = [1, 2, 3, 5, 10, 20, 30, 50, 75, 100]
+# The published sweep's full size, which the CLI's --paper-scale merges in.
+PAPER_SCALE = dict(dims=tuple(PAPER_DIMS), n_it=100_000, n_rep=10)
 
 # One-step transitions drawn per probe level by the kernel-identity check.
 _KERNEL_MC_DRAWS = 1_000_000
@@ -90,7 +92,8 @@ def _sequence(name: str, values):
 
 @dataclass
 class ExperimentConfig:
-    """Declarative description of a sweep/table/report run."""
+    """Declarative description of a run, validated by ``__post_init__`` (which
+    ``dataclasses.replace`` runs too) and echoed by ``dataclasses.asdict``."""
 
     target: str = "exponential"
     target_params: dict = field(default_factory=dict)
@@ -135,13 +138,6 @@ class ExperimentConfig:
             raise DomainError("lambda_ks entries must be positive integers")
 
     @staticmethod
-    def paper_scale(**overrides) -> "ExperimentConfig":
-        """Full-size setting of the published sweep."""
-        base = dict(dims=tuple(PAPER_DIMS), n_it=100_000, n_rep=10)
-        base.update(overrides)
-        return ExperimentConfig(**base)
-
-    @staticmethod
     def from_json(path: str) -> "ExperimentConfig":
         with open(path) as f:
             raw = json.load(f)
@@ -153,12 +149,6 @@ class ExperimentConfig:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
         return ExperimentConfig(**raw)
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["samplers"] = list(self.samplers)
-        out["dims"] = list(self.dims)
-        out["lambda_ks"] = list(self.lambda_ks)
-        return out
 
 
 def row_seed(base_seed: int, d: int, sampler: str, rep: int) -> int:
@@ -228,7 +218,7 @@ def iat_sweep(config: ExperimentConfig, max_workers: Optional[int] = None) -> di
                 "iat_mean": float(np.mean(cell)),
                 "iat_sd": float(np.std(cell, ddof=1)) if len(cell) > 1 else 0.0,
             })
-    return {"config": config.to_dict(), "rows": rows, "summaries": summaries}
+    return {"config": asdict(config), "rows": rows, "summaries": summaries}
 
 
 def write_iat_csv(result: dict, path: str) -> None:
@@ -256,7 +246,7 @@ def gap_table(config: ExperimentConfig) -> list:
         est = kernelmod.certify_gap(ell, n=config.grid_size,
                                     mass_tol=config.mass_tol)
         out.append({"target": config.target, "alpha": fac.alpha, "d": d,
-                    **est.to_dict()})
+                    **asdict(est)})
     return out
 
 
@@ -268,7 +258,7 @@ def check_lambda(config: ExperimentConfig) -> list:
         for k in config.lambda_ks:
             report = lambda_k_check(ell, k)
             out.append({"target": config.target, "alpha": fac.alpha,
-                        "d": d, **report.to_dict()})
+                        "d": d, **asdict(report)})
     return out
 
 
@@ -491,6 +481,6 @@ def verify(config: ExperimentConfig) -> dict:
     checks += _adjointness_checks()
     checks += _equivalence_checks()
     failed = [c for c in checks if c.get("status") == "fail"]
-    return {"config": config.to_dict(), "checks": checks,
+    return {"config": asdict(config), "checks": checks,
             "n_checks": len(checks), "n_failed": len(failed),
             "status": "pass" if not failed else "fail"}

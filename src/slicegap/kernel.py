@@ -266,20 +266,6 @@ class GapEstimate:
     eig_residual: Optional[float] = None
     top_residual: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        out = {
-            "gap": self.gap,
-            "lambda2": self.lambda2,
-            "grid_size": self.grid_size,
-            "truncation_mass": self.truncation_mass,
-            "eig_residual": self.eig_residual,
-            "top_residual": self.top_residual,
-        }
-        if self.refinement_delta is not None:
-            out["refinement_delta"] = self.refinement_delta
-            out["converged"] = self.converged
-        return out
-
 
 def spectral_gap(kernel: DiscreteKernel) -> GapEstimate:
     """1 minus the second-largest eigenvalue of the symmetrized kernel.

@@ -24,8 +24,8 @@ Many levels of one profile are bracketed by rungs: levels solved by
 the two rungs around a level bracket both of its endpoints, and Newton
 starts between them.  ``level_bounds`` picks the rungs of an array of
 levels among the levels themselves and solves the levels between them as
-one array; a chain's ``_ladder`` keeps a fixed ladder of levels below the
-supremum, each solved the first time the chain comes next to it.
+one array; a chain's ``_ladder`` keeps a ladder of levels 1/16 apart below
+the supremum, each solved the first time the chain comes next to it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, EmptyLevelError, NoRootError
-from .targets import RadialFactorization, RadialTarget, log_h, log_surface_area
+from .targets import (RadialFactorization, RadialTarget, _check_positive_integer, log_h,
+                      log_surface_area)
 
 __all__ = [
     "LevelSetFunction",
@@ -61,10 +62,10 @@ _CHUNK = 1 << 13
 # Rungs per level_bounds chunk: its levels solved by level_interval, whose
 # roots bracket the chunk's other levels.
 _CHUNK_RUNGS = 16
-# Chain ladders: rungs per unit of log level, and rungs in all; the ladder
-# spans the 64 units of log level below the profile supremum.
+# Chain ladders: rungs per unit of log level, and the top rung's index; the
+# top rung sits 1/16 below the profile supremum, and rung 0 64 below it.
 _RUNGS_PER_UNIT = 16
-_RUNGS = 1024
+_TOP_RUNG = 1023
 # Newton stopping tolerance in u = log r, relative to max(|u|, 1): 4 ulp.
 _U_TOL = 4.0 * np.finfo(float).eps
 # Scalar bisection stop: bracket width relative to max(|root|, 1).
@@ -371,39 +372,43 @@ def _ladder(prof: SliceProfile) -> Callable[[float], tuple[float, float]]:
     """:func:`level_interval` for the many levels of one chain, bracketed by
     a ladder of solved rungs.
 
-    Rung ``k < _RUNGS`` sits at the level ``log_sup - 64 + k/16`` and holds
-    ``(log r_lo, log r_hi)`` there, solved by :func:`level_interval` the
-    first time a level next to it comes up.  ``r_lo`` rises with the level
-    and ``r_hi`` falls, so the rungs on either side of a level bracket both
-    of its roots in ``u = log r``; Newton starts at the linear interpolation
-    between them.  The rung-pair rules, which :func:`level_bounds` follows
-    too: where the upper rung has ``r_lo = 0`` so does the level, and where
-    it has ``r_hi = kappa`` so does the level; a level whose rungs straddle
-    ``r_lo = 0`` or ``r_hi = kappa`` takes :func:`level_interval`, as do
-    levels outside the ladder or in its top cell.
+    Rung ``k`` sits at the level ``log_sup - 64 + k/16``, for every integer
+    ``k`` up to ``_TOP_RUNG`` (1/16 below the supremum) and down without a
+    floor, and holds ``(log r_lo, log r_hi)`` there, solved the first time a
+    level next to it comes up; after that it is one dict subscript.  ``r_lo``
+    rises with the level and ``r_hi`` falls, so the rungs on either side of a
+    level bracket both of its roots in ``u = log r``; Newton starts at the
+    linear interpolation between them.  The rung-pair rules, which
+    :func:`level_bounds` follows too: where the upper rung has ``r_lo = 0`` so
+    does the level, and where it has ``r_hi = kappa`` so does the level; a
+    level whose rungs straddle ``r_lo = 0`` or ``r_hi = kappa`` takes
+    :func:`level_interval`, as do non-finite levels and the top cell.
     """
-    base = prof.log_sup - _RUNGS / _RUNGS_PER_UNIT
+    base = prof.log_sup - (_TOP_RUNG + 1) / _RUNGS_PER_UNIT
     phi, dphi, alpha = prof.target.phi, prof.target.dphi, prof.alpha
     kappa = prof.target.kappa
     log_kappa = math.log(kappa)
-    rungs: list = [None] * _RUNGS
+    floor, inf = math.floor, math.inf
 
-    def rung(k: int) -> tuple[float, float]:
-        r_lo, r_hi = level_interval(prof, base + k / _RUNGS_PER_UNIT)
-        rungs[k] = (math.log(r_lo) if r_lo > 0.0 else -math.inf, math.log(r_hi))
-        return rungs[k]
+    class Rungs(dict):
+        def __missing__(self, k: int) -> tuple[float, float]:
+            r_lo, r_hi = level_interval(prof, base + k / _RUNGS_PER_UNIT)
+            rung = self[k] = (math.log(r_lo) if r_lo > 0.0 else -inf, math.log(r_hi))
+            return rung
+
+    rungs = Rungs()
 
     def interval(log_t: float) -> tuple[float, float]:
         x = (log_t - base) * _RUNGS_PER_UNIT
-        if not 0.0 <= x < _RUNGS - 1:
+        if not -inf < x < _TOP_RUNG:
             return level_interval(prof, log_t)
-        k = int(x)
+        k = floor(x)
         w = x - k
-        lo0, hi0 = rungs[k] or rung(k)
-        lo1, hi1 = rungs[k + 1] or rung(k + 1)
-        if lo0 == -math.inf < lo1 or hi0 == log_kappa > hi1:
+        lo0, hi0 = rungs[k]
+        lo1, hi1 = rungs[k + 1]
+        if lo0 == -inf < lo1 or hi0 == log_kappa > hi1:
             return level_interval(prof, log_t)
-        if lo1 == -math.inf:
+        if lo1 == -inf:
             r_lo = 0.0
         else:
             r_lo = _newton_scalar(phi, dphi, alpha, log_t, lo0, lo1, lo0 + w * (lo1 - lo0))
@@ -475,21 +480,12 @@ def level_set_function(target: RadialTarget, fac: RadialFactorization) -> LevelS
 
 @dataclass(frozen=True)
 class MembershipReport:
-    """Outcome of the decreasing-class check at index k."""
+    """Outcome of the decreasing-class check at index k.  Each violation is
+    a dict ``{"location": s, "check": name, "magnitude": value}``."""
 
     k: int
     passed: bool
     violations: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "passed": self.passed,
-            "violations": [
-                {"location": loc, "check": name, "magnitude": mag}
-                for loc, name, mag in self.violations
-            ],
-        }
 
 
 def lambda_k_check(ell: LevelSetFunction, k: int) -> MembershipReport:
@@ -501,8 +497,7 @@ def lambda_k_check(ell: LevelSetFunction, k: int) -> MembershipReport:
     differences of ``s -> ell(exp(-s))^{1/k}``, the transformed statement
     of log-concavity of the inverse.
     """
-    if k < 1 or k != int(k):
-        raise DomainError(f"k must be a positive integer, got {k}")
+    _check_positive_integer("k", k)
     k = int(k)
     s0 = -ell.log_support_sup
     if not math.isfinite(s0):
@@ -517,29 +512,30 @@ def lambda_k_check(ell: LevelSetFunction, k: int) -> MembershipReport:
 
     violations: list = []
 
+    def violate(location: float, check: str, magnitude: float) -> None:
+        violations.append({"location": location, "check": check, "magnitude": magnitude})
+
     # (i) boundary: ell must vanish continuously at the support supremum
     # and stay positive deep inside.
     span = s[-1] - s0
     edge = float(np.exp(ell.log(-(s0 + 1e-8 * span)) - scale))
     if edge > 1e-3 * np.max(f):
-        violations.append((s0, "boundary_limit", edge))
+        violate(s0, "boundary_limit", edge)
     if f[-1] <= 0.0:
-        violations.append((float(s[-1]), "positive_limit", 0.0))
+        violate(float(s[-1]), "positive_limit", 0.0)
 
     # (ii) strict decrease in t, i.e. strict increase in s.
     slack = 1e-10 * np.maximum(f[:-1], f[1:])
     diffs = f[1:] - f[:-1]
-    bad = diffs <= slack
-    for i in np.nonzero(bad)[0]:
-        violations.append((float(s[i]), "strict_decrease", float(diffs[i])))
+    for i in np.flatnonzero(diffs <= slack):
+        violate(float(s[i]), "strict_decrease", float(diffs[i]))
 
     # (iii) concavity of the k-th root along s.
     q = np.exp((logf - scale) / k)
     d2 = q[2:] - 2.0 * q[1:-1] + q[:-2]
     qslack = 1e-8 * np.max(q)
-    bad = d2 > qslack
-    for i in np.nonzero(bad)[0]:
-        violations.append((float(s[i + 1]), "root_concavity", float(d2[i])))
+    for i in np.flatnonzero(d2 > qslack):
+        violate(float(s[i + 1]), "root_concavity", float(d2[i]))
 
     return MembershipReport(k=k, passed=not violations, violations=violations)
 
@@ -554,8 +550,7 @@ def canonical_inverse_phi(ell: LevelSetFunction, k: int, s: float) -> float:
     Computes ``(k * ell(exp(-s)) / sigma_{k-1})^{1/k}``; returns 0 where the
     level set is empty.
     """
-    if k < 1 or k != int(k):
-        raise DomainError(f"k must be a positive integer, got {k}")
+    _check_positive_integer("k", k)
     s0 = -ell.log_support_sup
     if not s > s0:
         raise DomainError(f"s={s} is outside the domain (s must exceed {s0})")

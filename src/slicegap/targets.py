@@ -48,6 +48,11 @@ def _finite_difference(phi: Callable[[np.ndarray], np.ndarray],
     return dphi
 
 
+def _check_positive_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not (value >= 1 and float(value).is_integer()):  # no inf, NaN
+        raise DomainError(f"{name} must be a positive integer, got {value}")
+
+
 @dataclass(frozen=True)
 class RadialTarget:
     """Radial potential ``phi``, its derivative, support cutoff and dimension.
@@ -67,8 +72,7 @@ class RadialTarget:
     tag: str = "custom"
 
     def __post_init__(self):
-        if self.dim < 1 or self.dim != int(self.dim):
-            raise DomainError(f"dim must be a positive integer, got {self.dim}")
+        _check_positive_integer("dim", self.dim)
         if not self.kappa > 0:
             raise DomainError(f"kappa must be positive, got {self.kappa}")
         if self.dphi is None:
@@ -135,8 +139,7 @@ def log_surface_area(d: int) -> float:
     absolute of ``scipy.special.gammaln`` in this formula for d <= 100 and
     within 1.8e-12 for d <= 2000 (scipy 1.17.1).
     """
-    if d < 1 or d != int(d):
-        raise DomainError(f"d must be a positive integer, got {d}")
+    _check_positive_integer("d", d)
     return math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
 
 

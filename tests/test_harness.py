@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import slicegap
-from slicegap import harness, levelset
+from slicegap import cli, harness, levelset
 from slicegap.cli import main
 from slicegap.errors import DomainError
 from slicegap.harness import (
@@ -39,10 +39,14 @@ class TestConfig:
         assert cfg.dims == (1, 2, 3, 5, 10, 20, 30)
         assert cfg.n_it == 10_000 and cfg.n_rep == 5
 
-    def test_paper_scale(self):
-        cfg = ExperimentConfig.paper_scale()
-        assert max(cfg.dims) == 100
-        assert cfg.n_it == 100_000 and cfg.n_rep == 10
+    def test_paper_scale(self, monkeypatch):
+        # the CLI's --paper-scale merges harness.PAPER_SCALE into the config
+        seen = []
+        monkeypatch.setattr(cli, "iat_sweep",
+                            lambda cfg, max_workers: seen.append(cfg) or {})
+        assert main(["iat-sweep", "--paper-scale"]) == 0
+        assert max(seen[0].dims) == 100
+        assert seen[0].n_it == 100_000 and seen[0].n_rep == 10
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -236,6 +240,25 @@ class TestCli:
         assert main(["gap-table", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+
+    def test_paper_scale_merges_into_the_config_file(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"target": "volcano", "lambda_ks": [1, 2]}))
+        assert main(["check-lambda", "--config", str(config), "--paper-scale"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert {r["target"] for r in rows} == {"volcano"}
+        assert sorted((r["d"], r["alpha"], r["k"]) for r in rows) == sorted(
+            (d, a, k) for d in harness.PAPER_DIMS
+            for a in (float(max(d - 1, 0)), 0.0) for k in (1, 2))
+
+    def test_seed_flag_overrides_the_config_file(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"dims": [2], "samplers": ["pss"], "n_it": 200, "n_rep": 1}))
+        assert main(["iat-sweep", "--config", str(config), "--seed", "5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["base_seed"] == 5
+        assert payload["rows"][0]["seed"] == row_seed(5, 2, "pss", 0)
 
     def test_flag_not_read_by_subcommand_is_rejected(self, capsys):
         # verify builds no gap table, so it takes no grid size

@@ -2,7 +2,7 @@
 
 import ast
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -337,7 +337,7 @@ class TestSpectralGap:
         ell = level_set_function(exponential(5), PSS(5))
         est = certify_gap(ell, n=512)
         assert est.converged and est.refinement_delta <= 0.005
-        payload = est.to_dict()
+        payload = asdict(est)
         for key in ("gap", "lambda2", "grid_size", "truncation_mass",
                     "refinement_delta", "eig_residual", "top_residual"):
             assert key in payload

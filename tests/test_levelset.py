@@ -3,7 +3,7 @@
 import ast
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -400,9 +400,9 @@ class TestLadder:
     @given(tag=st.sampled_from(sorted(BUILTIN_TAGS)),
            sampler=st.sampled_from(["pss", "uss"]),
            d=st.integers(min_value=1, max_value=100),
-           depth=st.floats(min_value=1e-3, max_value=80.0))
+           depth=st.floats(min_value=1e-3, max_value=300.0))
     def test_matches_level_interval_property(self, tag, sampler, d, depth):
-        # depths beyond 64 and within 1/16 of the supremum are off the ladder
+        # the ladder has no floor; within 1/16 of the supremum is its top cell
         target = make_builtin(tag, d)
         fac = PSS(d) if sampler == "pss" else USS()
         prof = slice_profile(target, fac)
@@ -412,14 +412,31 @@ class TestLadder:
         assert r_lo == pytest.approx(want_lo, rel=1e-12, abs=0)
         assert r_hi == pytest.approx(want_hi, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("depth", [1e-3, 0.03, 0.0624, 64.01, 70.0, 300.0],
+    @pytest.mark.parametrize("depth, rel",
+                             [(1e-3, 0.0), (0.03, 0.0), (0.0624, 0.0),
+                              (64.01, 1e-12), (70.0, 1e-12), (300.0, 1e-12)],
                              ids=["top-cell-1", "top-cell-2", "top-cell-3",
                                   "below-1", "below-2", "below-3"])
-    def test_off_the_ladder_is_level_interval(self, depth):
+    def test_off_the_ladder_is_level_interval(self, depth, rel):
+        # the top cell is level_interval itself; below rung 0 the rungs reach
+        # down without a floor and agree with it as everywhere on the ladder
         prof = slice_profile(exponential(5), PSS(5))
         interval = levelset._ladder(prof)
         log_t = prof.log_sup - depth
-        assert interval(log_t) == level_interval(prof, log_t)
+        r_lo, r_hi = interval(log_t)
+        want_lo, want_hi = level_interval(prof, log_t)
+        assert r_lo == pytest.approx(want_lo, rel=rel, abs=0)
+        assert r_hi == pytest.approx(want_hi, rel=rel, abs=0)
+
+    def test_no_floor_below_the_ladder(self, monkeypatch):
+        # USS levels sit about d below the supremum: at d = 100 a chain runs
+        # under rung 0, where each step used to solve its own level
+        calls = []
+        solve = levelset.level_interval
+        monkeypatch.setattr(levelset, "level_interval",
+                            lambda prof, lt: calls.append(lt) or solve(prof, lt))
+        radii = run_x_chain(exponential(100), USS(), 20_000, 99.0, 1)
+        assert np.all(np.isfinite(radii)) and len(calls) <= 1_500
 
     def test_finite_cutoff(self):
         # beyond about 37 below the supremum the rungs' upper roots are
@@ -642,19 +659,27 @@ class TestLambdaK:
         ell = level_set_function(exponential(3), USS())
         report = lambda_k_check(ell, 1)
         assert not report.passed
-        assert any(v[1] == "root_concavity" for v in report.violations)
+        assert any(v["check"] == "root_concavity" for v in report.violations)
 
     def test_probe_validation(self):
         ell = level_set_function(exponential(3), PSS(3))
         with pytest.raises(DomainError):
             lambda_k_check(ell, 0)
 
+    @pytest.mark.parametrize("k", [math.inf, math.nan, True], ids=["inf", "nan", "bool"])
+    def test_non_integer_k_rejected(self, k):
+        ell = level_set_function(exponential(3), PSS(3))
+        with pytest.raises(DomainError, match="^k must be a positive integer"):
+            lambda_k_check(ell, k)
+        with pytest.raises(DomainError, match="^k must be a positive integer"):
+            canonical_inverse_phi(ell, k, 1.0)
+
     @staticmethod
     def _checks(log_eval):
         """The violated checks of ``lambda_k_check`` at k = 1 for an ell
         with support supremum 1 (log 0)."""
         ell = LevelSetFunction(log_eval=log_eval, log_support_sup=0.0)
-        return {name for _, name, _ in lambda_k_check(ell, 1).violations}
+        return {v["check"] for v in lambda_k_check(ell, 1).violations}
 
     def test_constant_ell_violates_boundary_and_decrease(self):
         # ell = 1 below the supremum: no vanishing at the edge, no decrease
@@ -672,7 +697,7 @@ class TestLambdaK:
 
     def test_report_serializes(self):
         ell = level_set_function(exponential(3), PSS(3))
-        d = lambda_k_check(ell, 1).to_dict()
+        d = asdict(lambda_k_check(ell, 1))
         assert d["k"] == 1 and d["passed"] is True and d["violations"] == []
 
 

@@ -117,6 +117,11 @@ class TestSurfaceArea:
         with pytest.raises(DomainError):
             log_surface_area(0)
 
+    @pytest.mark.parametrize("d", [math.inf, math.nan, True], ids=["inf", "nan", "bool"])
+    def test_non_integer_dimension_rejected(self, d):
+        with pytest.raises(DomainError, match="^d must be a positive integer"):
+            log_surface_area(d)
+
     def test_recurrence(self):
         # sigma_d = 2 pi sigma_{d-2} / (d-1), with sigma_d = surface_area(d+1)
         for d in range(3, 40):
@@ -207,6 +212,11 @@ class TestConstruction:
     def test_invalid_dim(self):
         with pytest.raises(DomainError):
             RadialTarget(phi=lambda r: r, dim=0)
+
+    @pytest.mark.parametrize("dim", [math.inf, math.nan, True], ids=["inf", "nan", "bool"])
+    def test_non_integer_dim(self, dim):
+        with pytest.raises(DomainError, match="^dim must be a positive integer"):
+            RadialTarget(phi=lambda r: r, dim=dim)
 
     def test_invalid_kappa(self):
         with pytest.raises(DomainError):
