@@ -2,9 +2,8 @@
 rotationally invariant densities, spectral-gap certification of the
 auxiliary level chain, and autocorrelation diagnostics.
 
-Importing the package loads numpy only.  ``spectral_gap`` alone imports
-scipy (its ARPACK eigensolver) when first called, so only ``certify_gap``,
-``duality_gap_compare``, ``gap_table`` and ``verify`` load scipy."""
+The package runs on numpy and the standard library alone; scipy is used
+only by the tests, as a reference."""
 
 from .diagnostics import IatEstimate, autocorr, iat, iat_bound_from_gap
 from .errors import (
@@ -13,6 +12,7 @@ from .errors import (
     EmptyLevelError,
     InsufficientDataError,
     InvalidLevelSetError,
+    NoConvergenceError,
     NoRootError,
     SliceGapError,
     ZeroVarianceError,

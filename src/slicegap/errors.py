@@ -17,6 +17,10 @@ class NoRootError(SliceGapError, RuntimeError):
     """
 
 
+class NoConvergenceError(SliceGapError, RuntimeError):
+    """An iterative solver reached its step cap before its stopping rule held."""
+
+
 class EmptyLevelError(SliceGapError, ValueError):
     """The requested level lies at or above the supremum of the profile,
     so the super level set is empty."""

@@ -20,10 +20,11 @@ The flux matrix is semiseparable: for cells ``i < j`` its entry is
 j), so every off-diagonal block has rank one.  A :class:`DiscreteKernel`
 stores only the generators ``(len_cell, A, diag)`` and applies the flux to
 a vector in O(n) with two cumulative sums; the dense matrices are built
-only when asked for.  The spectral gap comes from Lanczos iteration
-(ARPACK through ``scipy.sparse.linalg.eigsh``) on the symmetrized kernel
-with its known top eigenpair ``(1, sqrt(weights))`` projected out, so a
-certificate at n cells costs O(n) memory and O(n) work per iteration.
+only when asked for.  The spectral gap comes from Lanczos iteration with
+full reorthogonalization, in numpy, on the symmetrized kernel with its
+known top eigenpair ``(1, sqrt(weights))`` projected out, so a certificate
+at n cells costs O(n) work per operator application and O(n k) memory
+and work per Lanczos step k.
 
 Every value of ``ell`` costs two root solves, so a certificate evaluates
 each level once.  ``build_tgrid`` evaluates one mass window per doubling
@@ -43,7 +44,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateSupportError, DomainError, InvalidLevelSetError
+from .errors import (DegenerateSupportError, DomainError, InvalidLevelSetError,
+                     NoConvergenceError)
 from .levelset import LevelSetFunction
 
 __all__ = [
@@ -63,6 +65,14 @@ __all__ = [
 _REFINEMENT_TOL = 0.005
 # Log-uniform subintervals per grid cell on which ell is evaluated.
 _REFINE = 16
+# spectral_gap: most Lanczos steps before NoConvergenceError.
+_LANCZOS_MAX_STEPS = 500
+# Lanczos steps between convergence checks; a check is a dense eigh of the
+# tridiagonal matrix, which costs more than a step once it is large.
+_LANCZOS_CHECK_EVERY = 8
+# ARPACK's tol=0 stopping rule: unit roundoff, and its floor eps^(2/3).
+_EPS = np.finfo(float).eps / 2
+_EPS23 = _EPS ** (2.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -254,7 +264,8 @@ class GapEstimate:
 
     ``eig_residual`` is ``||S v - lambda2 v||_2`` of the returned Ritz pair
     and ``top_residual`` is ``||S sqrt(w) - sqrt(w)||_inf``, where ``S`` is
-    the symmetrized kernel and ``w`` its weights.
+    the symmetrized kernel and ``w`` its weights.  ``eig_iterations`` is
+    the number of Lanczos steps, one operator application each.
     """
 
     gap: float
@@ -265,6 +276,49 @@ class GapEstimate:
     converged: Optional[bool] = None
     eig_residual: Optional[float] = None
     top_residual: Optional[float] = None
+    eig_iterations: Optional[int] = None
+
+
+def _lanczos_top(op, v0: np.ndarray, dim: int):
+    """Largest eigenpair of the symmetric operator ``op`` on an invariant
+    subspace of dimension ``dim`` that holds ``v0``, by Lanczos from ``v0``
+    with full reorthogonalization.
+
+    Every ``_LANCZOS_CHECK_EVERY`` steps, and at a breakdown, the top Ritz
+    pair ``(theta, s)`` of the k-step tridiagonal matrix is tested against
+    ARPACK's ``tol=0`` rule ``beta_k |s_k| <= eps max(eps^(2/3), |theta|)``.
+    After ``dim`` steps the basis spans the subspace and the pair is exact.
+    Returns ``(theta, ritz_vector, k)``.
+    """
+    m = min(_LANCZOS_MAX_STEPS, dim)
+    # grown by doubling: a basis sized for the cap is 16 MiB at n = 4096,
+    # numpy asks for huge pages on arrays of 4 MiB and more, and the rows
+    # touched then raised a certifying process's peak RSS in 2 MiB steps
+    basis = np.empty((min(m, 32), v0.size))
+    alpha = np.empty(m)
+    beta = np.empty(m)
+    basis[0] = v0 / np.linalg.norm(v0)
+    for j in range(m):
+        w = op(basis[j])
+        alpha[j] = basis[j] @ w
+        w -= alpha[j] * basis[j]
+        if j:
+            w -= beta[j - 1] * basis[j - 1]
+        q = basis[:j + 1]
+        w -= (q @ w) @ q
+        beta[j] = np.linalg.norm(w)
+        k = j + 1
+        # beta_k below eps^(5/3) passes the rule whatever s_k is
+        if k % _LANCZOS_CHECK_EVERY == 0 or k == m or beta[j] <= _EPS * _EPS23:
+            t = np.diag(alpha[:k]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+            theta, s = np.linalg.eigh(t)
+            if k == dim or beta[j] * abs(s[-1, -1]) <= _EPS * max(_EPS23, abs(theta[-1])):
+                return float(theta[-1]), s[:, -1] @ q, k
+        if k < m:
+            if k == len(basis):
+                basis = np.concatenate([basis, np.empty((min(k, m - k), v0.size))])
+            basis[k] = w / beta[j]
+    raise NoConvergenceError(f"Lanczos did not converge in {m} steps")
 
 
 def spectral_gap(kernel: DiscreteKernel) -> GapEstimate:
@@ -272,9 +326,9 @@ def spectral_gap(kernel: DiscreteKernel) -> GapEstimate:
 
     ``S = W^{-1/2} F W^{-1/2}`` has the top eigenpair ``(1, sqrt(w))``.
     Lanczos runs on ``S`` with that pair projected out, from a fixed start
-    vector, so the result is a deterministic function of the kernel.
+    vector, so the result is a deterministic function of the kernel.  It
+    raises :class:`NoConvergenceError` after ``_LANCZOS_MAX_STEPS`` steps.
     """
-    from scipy.sparse.linalg import LinearOperator, eigsh
     sq = np.sqrt(kernel.weights)
     n = sq.size
     if n < 2:
@@ -288,9 +342,8 @@ def spectral_gap(kernel: DiscreteKernel) -> GapEstimate:
         y = sym(x)
         return y - sq * (sq @ y)
 
-    op = LinearOperator((n, n), matvec=deflated, dtype=float)
-    vals, vecs = eigsh(op, k=1, which="LA", tol=0, v0=sq * np.linspace(-1.0, 1.0, n))
-    lam2, v = float(vals[0]), vecs[:, 0]
+    v0 = sq * np.linspace(-1.0, 1.0, n)
+    lam2, v, steps = _lanczos_top(deflated, v0 - sq * (sq @ v0), n - 1)
     eig_residual = float(np.linalg.norm(sym(v) - lam2 * v))
     top_residual = float(np.max(np.abs(sym(sq) - sq)))
     if top_residual > 1e-8:
@@ -304,7 +357,8 @@ def spectral_gap(kernel: DiscreteKernel) -> GapEstimate:
         )
     return GapEstimate(gap=1.0 - lam2, lambda2=lam2, grid_size=kernel.n,
                        truncation_mass=kernel.grid.truncation_mass,
-                       eig_residual=eig_residual, top_residual=top_residual)
+                       eig_residual=eig_residual, top_residual=top_residual,
+                       eig_iterations=steps)
 
 
 def certify_gap(ell: LevelSetFunction, n: int = 2048,

@@ -94,8 +94,8 @@ class RadialFactorization:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise DomainError(f"alpha must be nonnegative, got {self.alpha}")
+        if isinstance(self.alpha, bool) or not 0 <= self.alpha < math.inf:  # no NaN
+            raise DomainError(f"alpha must be a finite nonnegative number, got {self.alpha}")
 
     @staticmethod
     def uss() -> "RadialFactorization":

@@ -10,7 +10,8 @@ import pytest
 import scipy.linalg
 
 import slicegap.kernel as kernelmod
-from slicegap.errors import DegenerateSupportError, DomainError, InvalidLevelSetError
+from slicegap.errors import (DegenerateSupportError, DomainError, InvalidLevelSetError,
+                             NoConvergenceError)
 from slicegap.kernel import (
     DiscreteKernel,
     TGrid,
@@ -299,8 +300,10 @@ class TestSpectralGap:
 
     @pytest.mark.parametrize("target,fac", [(exponential(5), PSS(5)),
                                             (volcano(10, 2.0), PSS(10)),
-                                            (exponential(30), USS())])
+                                            (exponential(30), USS()),
+                                            (exponential(80), USS())])
     def test_lanczos_matches_dense_eigh(self, target, fac):
+        # USS at d = 80 has gap 1/81 and takes the most Lanczos steps
         ell = level_set_function(target, fac)
         dk = discretize_pt(ell, build_tgrid(ell, 256))
         sq = np.sqrt(dk.weights)
@@ -310,6 +313,25 @@ class TestSpectralGap:
         assert abs(est.lambda2 - lam[0]) <= 1e-12
         assert abs(est.gap - (1.0 - lam[0])) <= 1e-12
         assert est.eig_residual <= 1e-12 and est.top_residual <= 1e-12
+        assert 0 < est.eig_iterations < kernelmod._LANCZOS_MAX_STEPS
+
+    def test_two_cells_exhaust_the_space(self):
+        # on 2 cells the deflated space is a line: one Lanczos step spans it,
+        # and the negative second eigenvalue of P = [[1/4, 3/4], [1/2, 1/2]]
+        # comes back, not the 0 of the projected-out direction
+        dk = self._kernel_from_generators(np.ones(2), np.array([1.0, 0.3]),
+                                          np.array([0.1, 0.3]))
+        with pytest.warns(UserWarning, match="negative"):
+            est = spectral_gap(dk)
+        assert est.lambda2 == pytest.approx(-0.25, abs=1e-12)
+        assert est.eig_iterations == 1
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(kernelmod, "_LANCZOS_MAX_STEPS", 5)
+        ell = level_set_function(exponential(30), USS())
+        dk = discretize_pt(ell, build_tgrid(ell, 256))
+        with pytest.raises(NoConvergenceError, match="5 steps"):
+            spectral_gap(dk)
 
     def test_deterministic(self):
         ell = level_set_function(volcano(5, 2.0), PSS(5))
@@ -339,7 +361,8 @@ class TestSpectralGap:
         assert est.converged and est.refinement_delta <= 0.005
         payload = asdict(est)
         for key in ("gap", "lambda2", "grid_size", "truncation_mass",
-                    "refinement_delta", "eig_residual", "top_residual"):
+                    "refinement_delta", "eig_residual", "top_residual",
+                    "eig_iterations"):
             assert key in payload
 
     def test_certify_searches_truncation_once(self, monkeypatch):

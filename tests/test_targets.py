@@ -151,6 +151,13 @@ class TestFactorization:
         with pytest.raises(DomainError):
             RadialFactorization(-0.5)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, True],
+                             ids=["nan", "inf", "bool"])
+    def test_non_finite_or_bool_alpha_rejected(self, alpha):
+        # a NaN alpha once built an ell whose support supremum was NaN
+        with pytest.raises(DomainError, match="^alpha must be a finite nonnegative number"):
+            RadialFactorization(alpha)
+
     def test_alpha_exceeding_dimension_rejected(self):
         fac = RadialFactorization(5.0)
         with pytest.raises(DomainError):
