@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -265,18 +264,19 @@ class GapEstimate:
     ``eig_residual`` is ``||S v - lambda2 v||_2`` of the returned Ritz pair
     and ``top_residual`` is ``||S sqrt(w) - sqrt(w)||_inf``, where ``S`` is
     the symmetrized kernel and ``w`` its weights.  ``eig_iterations`` is
-    the number of Lanczos steps, one operator application each.
+    the number of Lanczos steps, one operator application each.  Only
+    :func:`certify_gap` sets ``refinement_delta`` and ``converged``.
     """
 
     gap: float
     lambda2: float
     grid_size: int
     truncation_mass: float
+    eig_residual: float
+    top_residual: float
+    eig_iterations: int
     refinement_delta: Optional[float] = None
     converged: Optional[bool] = None
-    eig_residual: Optional[float] = None
-    top_residual: Optional[float] = None
-    eig_iterations: Optional[int] = None
 
 
 def _lanczos_top(op, v0: np.ndarray, dim: int):
@@ -324,10 +324,12 @@ def _lanczos_top(op, v0: np.ndarray, dim: int):
 def spectral_gap(kernel: DiscreteKernel) -> GapEstimate:
     """1 minus the second-largest eigenvalue of the symmetrized kernel.
 
-    ``S = W^{-1/2} F W^{-1/2}`` has the top eigenpair ``(1, sqrt(w))``.
-    Lanczos runs on ``S`` with that pair projected out, from a fixed start
-    vector, so the result is a deterministic function of the kernel.  It
-    raises :class:`NoConvergenceError` after ``_LANCZOS_MAX_STEPS`` steps.
+    ``S = W^{-1/2} F W^{-1/2}`` has the top eigenpair ``(1, sqrt(w))`` if
+    the weights ``w`` are the kernel's stationary law, and a residual of it
+    above 1e-8 raises :class:`DomainError`.  Lanczos runs on ``S`` with that
+    pair projected out, from a fixed start vector, so the result is a
+    deterministic function of the kernel.  It raises
+    :class:`NoConvergenceError` after ``_LANCZOS_MAX_STEPS`` steps.
     """
     sq = np.sqrt(kernel.weights)
     n = sq.size
@@ -342,23 +344,16 @@ def spectral_gap(kernel: DiscreteKernel) -> GapEstimate:
         y = sym(x)
         return y - sq * (sq @ y)
 
+    top_residual = float(np.max(np.abs(sym(sq) - sq)))
+    if not top_residual <= 1e-8:
+        raise DomainError(f"the weights are not the kernel's stationary law: "
+                          f"(1, sqrt(weights)) has residual {top_residual}")
     v0 = sq * np.linspace(-1.0, 1.0, n)
     lam2, v, steps = _lanczos_top(deflated, v0 - sq * (sq @ v0), n - 1)
-    eig_residual = float(np.linalg.norm(sym(v) - lam2 * v))
-    top_residual = float(np.max(np.abs(sym(sq) - sq)))
-    if top_residual > 1e-8:
-        warnings.warn(f"top eigenpair (1, sqrt(weights)) has residual {top_residual}",
-                      stacklevel=2)
-    if lam2 < -1e-8:
-        warnings.warn(
-            f"second eigenvalue {lam2} is negative beyond tolerance; "
-            "the kernel should be positive semidefinite up to discretization error",
-            stacklevel=2,
-        )
     return GapEstimate(gap=1.0 - lam2, lambda2=lam2, grid_size=kernel.n,
                        truncation_mass=kernel.grid.truncation_mass,
-                       eig_residual=eig_residual, top_residual=top_residual,
-                       eig_iterations=steps)
+                       eig_residual=float(np.linalg.norm(sym(v) - lam2 * v)),
+                       top_residual=top_residual, eig_iterations=steps)
 
 
 def certify_gap(ell: LevelSetFunction, n: int = 2048,

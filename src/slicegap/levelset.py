@@ -138,18 +138,15 @@ def _bisect(f: Callable[[float], float], level: float, inside: float,
 def mode_radius(target: RadialTarget, fac: RadialFactorization) -> float:
     """Radius maximizing ``h_alpha``; 0 if the profile is non-increasing.
 
-    Bisects the sign change of ``alpha - r * phi'(r)``; for ``alpha = 0``
-    that of ``-phi'(r)``, which gives the minimizer of phi.  The bracket
-    is found by deepening toward 0 from 1 (``kappa / 2`` for a finite
-    cutoff), then searching outward.
+    Bisects the sign change of ``alpha - r * phi'(r)``, which for
+    ``alpha = 0`` gives the minimizer of phi.  The bracket is found by
+    deepening toward 0 from 1 (``kappa / 2`` for a finite cutoff), then
+    searching outward.
     """
     fac.validate_for(target)
     kappa = target.kappa
     alpha = fac.alpha
-    if alpha == 0.0:
-        rise = lambda r: -target.dphi(r)
-    else:
-        rise = lambda r: alpha - r * target.dphi(r)
+    rise = lambda r: alpha - r * target.dphi(r)
     for a in _deepening(1.0 if not math.isfinite(kappa) else 0.5 * kappa):
         if rise(a) > 0.0:
             break

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -73,8 +74,8 @@ class RadialTarget:
 
     def __post_init__(self):
         _check_positive_integer("dim", self.dim)
-        if not self.kappa > 0:
-            raise DomainError(f"kappa must be positive, got {self.kappa}")
+        if isinstance(self.kappa, bool) or not self.kappa > 0:
+            raise DomainError(f"kappa must be a positive number, got {self.kappa}")
         if self.dphi is None:
             object.__setattr__(self, "dphi", _finite_difference(self.phi, self.kappa))
         probe = np.full(2, min(1.0, 0.5 * self.kappa))
@@ -157,8 +158,8 @@ def exponential(dim: int) -> RadialTarget:
 
 def volcano(dim: int, c: float = 2.0) -> RadialTarget:
     """phi(r) = (r - c)^2: a ridge of mass at radius c."""
-    if c <= 0:
-        raise DomainError(f"volcano offset must be positive, got {c}")
+    if isinstance(c, bool) or not isinstance(c, numbers.Real) or not 0 < c < math.inf:
+        raise DomainError(f"volcano offset c must be a finite positive number, got {c!r}")
     return RadialTarget(
         phi=lambda r: (r - c) ** 2, dphi=lambda r: 2.0 * (r - c),
         kappa=math.inf, dim=dim, tag="volcano",

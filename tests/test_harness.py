@@ -211,6 +211,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'exponential'" in err and "foo" in err
 
+    def test_nan_volcano_offset_exit_code(self, tmp_path, capsys):
+        # json reads NaN; it once failed later, as "grid construction
+        # requires a finite support supremum"
+        config = tmp_path / "cfg.json"
+        config.write_text('{"target": "volcano", "target_params": {"c": NaN}, "dims": [3]}')
+        assert main(["gap-table", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: volcano offset c must be a finite") and "nan" in err
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 8: at paper scale a grid cell "
+                       "carries no flux, and gap-table exits 2")
+    def test_gap_table_paper_scale(self, tmp_path):
+        assert main(["gap-table", "--paper-scale", "--out", str(tmp_path / "gaps.json")]) == 0
+
     def test_non_integral_entries_exit_code(self, tmp_path, capsys):
         # int() used to truncate these to d = 2 and k = 1 and exit 0
         config = tmp_path / "cfg.json"

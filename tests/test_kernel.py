@@ -2,6 +2,7 @@
 
 import ast
 import math
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from slicegap.errors import (DegenerateSupportError, DomainError, InvalidLevelSe
                              NoConvergenceError)
 from slicegap.kernel import (
     DiscreteKernel,
+    GapEstimate,
     TGrid,
     build_tgrid,
     certify_gap,
@@ -321,10 +323,28 @@ class TestSpectralGap:
         # comes back, not the 0 of the projected-out direction
         dk = self._kernel_from_generators(np.ones(2), np.array([1.0, 0.3]),
                                           np.array([0.1, 0.3]))
-        with pytest.warns(UserWarning, match="negative"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # lambda2 is reported, not warned about
             est = spectral_gap(dk)
         assert est.lambda2 == pytest.approx(-0.25, abs=1e-12)
         assert est.eig_iterations == 1
+
+    def test_non_stationary_weights_rejected(self):
+        # (0.5, 0.5) is not the stationary law of this kernel: the deflation
+        # would remove the wrong vector, and once a gap of 1.2 came back
+        dk = DiscreteKernel(len_cell=np.ones(2), A=np.array([1.0, 0.3]),
+                            diag=np.array([0.1, 0.3]), weights=np.array([0.5, 0.5]),
+                            grid=TGrid(boundaries=np.linspace(-1, 0, 3)))
+        with pytest.raises(DomainError, match="not the kernel's stationary law"):
+            spectral_gap(dk)
+
+    @pytest.mark.parametrize("health", ["eig_residual", "top_residual", "eig_iterations"])
+    def test_health_fields_required(self, health):
+        fields = dict(gap=0.5, lambda2=0.5, grid_size=2, truncation_mass=0.0,
+                      eig_residual=0.0, top_residual=0.0, eig_iterations=1)
+        del fields[health]
+        with pytest.raises(TypeError, match=health):
+            GapEstimate(**fields)
 
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(kernelmod, "_LANCZOS_MAX_STEPS", 5)

@@ -189,6 +189,14 @@ class TestBuiltins:
         with pytest.raises(DomainError):
             volcano(2, 0.0)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, True, "2"],
+                             ids=["nan", "inf", "bool", "str"])
+    def test_non_finite_bool_or_non_real_offset_rejected(self, c):
+        # a NaN offset once built an ell whose support supremum was NaN,
+        # and an infinite one ended in a NoRootError blaming the target class
+        with pytest.raises(DomainError, match="^volcano offset c must be a finite"):
+            volcano(3, c)
+
     def test_validate_passes_builtins(self):
         for target in ALL_BUILTINS:
             validate_target(target)
@@ -228,6 +236,11 @@ class TestConstruction:
     def test_invalid_kappa(self):
         with pytest.raises(DomainError):
             RadialTarget(phi=lambda r: r, kappa=-1.0, dim=2)
+
+    def test_bool_kappa_rejected(self):
+        # True once passed as a cutoff of 1
+        with pytest.raises(DomainError, match="^kappa must be a positive number"):
+            RadialTarget(phi=lambda r: -np.log(1.0 - r), kappa=True, dim=2)
 
     def test_scalar_only_phi_rejected(self):
         with pytest.raises(DomainError, match="^phi must map a float array"):
