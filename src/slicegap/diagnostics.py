@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, ZeroVarianceError
+from .errors import DomainError, InsufficientDataError, ZeroVarianceError, check_number
 
 __all__ = [
     "IatEstimate",
@@ -42,7 +42,8 @@ def autocorr(values: np.ndarray, max_lag: int) -> np.ndarray:
     under denominator-n normalization.
 
     gamma(k) = (1/n) sum_{i<n-k} (x_i - mean)(x_{i+k} - mean); rho = gamma/gamma(0),
-    computed by FFT.  Returns the ``(max_lag + 1,)`` array ``rho``.
+    computed by FFT.  Returns the ``(max_lag + 1,)`` array ``rho``, for an
+    integer ``max_lag`` in [0, n).
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
@@ -50,8 +51,8 @@ def autocorr(values: np.ndarray, max_lag: int) -> np.ndarray:
     n = x.size
     if n < _MIN_LEN:
         raise InsufficientDataError(f"trace of length {n} is too short (need >= {_MIN_LEN})")
-    if max_lag < 0 or max_lag >= n:
-        raise DomainError(f"max_lag must be in [0, {n - 1}], got {max_lag}")
+    check_number("max_lag", max_lag, f"an integer in [0, {n - 1}]",
+                 lambda v: 0 <= v < n, integer=True)
     xc = x - x.mean()
     var = float(np.dot(xc, xc)) / n
     if var <= 0.0 or not math.isfinite(var):
@@ -67,12 +68,13 @@ def iat(values: np.ndarray, max_lag: int | None = None) -> IatEstimate:
 
     Finds the smallest odd K with rho(K) + rho(K+1) < 0 and returns
     1 + 2 * sum_{k=1}^{K-1} rho(k).  If no such pair occurs before the lag
-    cap, the whole window is summed.
+    cap, an integer lowered to ``n - 1``, the whole window is summed.
     """
     x = np.asarray(values, dtype=float)
     n = x.size
     if max_lag is None:
         max_lag = min(n // 2, _DEFAULT_MAX_LAG)
+    check_number("max_lag", max_lag, "a nonnegative integer", lambda v: v >= 0, integer=True)
     max_lag = min(max_lag, n - 1)
     rho = autocorr(x, max_lag)
     # rho(K) + rho(K+1) for K = 1, 3, 5, ... while K + 1 <= max_lag
@@ -83,7 +85,6 @@ def iat(values: np.ndarray, max_lag: int | None = None) -> IatEstimate:
 
 
 def iat_bound_from_gap(gap: float) -> float:
-    """Upper bound 2/gap on the IAT of any L2 test function."""
-    if not gap > 0.0:
-        raise DomainError(f"gap must be positive, got {gap}")
+    """Upper bound 2/gap on the IAT of any L2 test function, for a finite gap > 0."""
+    check_number("gap", gap, "a finite positive number", lambda v: 0 < v < math.inf)
     return 2.0 / gap

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check on caller-given numbers."""
+
+import numbers
+import operator
 
 
 class SliceGapError(Exception):
@@ -40,3 +43,12 @@ class ZeroVarianceError(SliceGapError, ValueError):
 
 class InsufficientDataError(SliceGapError, ValueError):
     """A trace is too short for the requested estimator."""
+
+
+def check_number(name: str, value, what: str, ok=lambda v: True, integer: bool = False):
+    """``value`` if a real non-bool with ``ok(value)``, and with ``integer`` an int (not 3.0);
+    else ``DomainError("<name> must be <what>, got <value!r>")``."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (not integer or isinstance(value, numbers.Integral)) and ok(value)):
+        return operator.index(value) if integer else value
+    raise DomainError(f"{name} must be {what}, got {value!r}")

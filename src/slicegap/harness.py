@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import math
-import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -21,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_number
 from . import kernel as kernelmod
 from .diagnostics import iat
 from .levelset import (
@@ -73,16 +72,6 @@ IAT_CSV_HEADER = ["d", "sampler", "rep", "seed", "iat", "truncation_lag",
                   "wall_time_ms", "iat_mean", "iat_sd"]
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int if it is an integer (not a bool, a float or a string)."""
-    if isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _sequence(name: str, values):
     """``values`` if it is a list or a tuple (not a string or a scalar)."""
     if not isinstance(values, (list, tuple)):
@@ -112,30 +101,28 @@ class ExperimentConfig:
         if not isinstance(self.target_params, dict):
             raise DomainError(f"target_params must be a mapping, got {self.target_params!r}")
         self.samplers = tuple(str(s).lower() for s in _sequence("samplers", self.samplers))
-        self.dims = tuple(_integer("each dims entry", d) for d in _sequence("dims", self.dims))
-        self.lambda_ks = tuple(_integer("each lambda_ks entry", k)
-                               for k in _sequence("lambda_ks", self.lambda_ks))
-        for name in ("n_it", "n_rep", "base_seed", "grid_size", "ks_sample"):
-            setattr(self, name, _integer(name, getattr(self, name)))
-        kernelmod._check_mass_tol(self.mass_tol)
+        for name in ("dims", "lambda_ks"):
+            setattr(self, name, tuple(
+                check_number(f"each {name} entry", x, "a positive integer", lambda v: v >= 1,
+                             integer=True) for x in _sequence(name, getattr(self, name))))
+        self.n_it = check_number("n_it", self.n_it, ">= 10, an integer",
+                                 lambda v: v >= 10, integer=True)
+        self.n_rep = check_number("n_rep", self.n_rep, ">= 1, an integer",
+                                  lambda v: v >= 1, integer=True)
+        for name in ("base_seed", "grid_size", "ks_sample"):
+            setattr(self, name, check_number(name, getattr(self, name), "an integer",
+                                             integer=True))
+        check_number("mass_tol", self.mass_tol, "a number in (0, 1)", lambda v: 0 < v < 1)
         if not isinstance(self.out, (str, type(None))):
             raise DomainError(f"out must be a path, got {self.out!r}")
         for name in ("samplers", "dims", "lambda_ks"):
             if not getattr(self, name):
                 raise DomainError(f"{name} must be nonempty")
-        if any(d < 1 for d in self.dims):
-            raise DomainError("dims must be positive integers")
-        if self.n_it < 10:
-            raise DomainError(f"n_it must be >= 10, got {self.n_it}")
-        if self.n_rep < 1:
-            raise DomainError("n_rep must be >= 1")
         if not isinstance(self.target, str) or self.target.lower() not in BUILTIN_TAGS:
             raise DomainError(f"unknown target tag {self.target!r}")
         for s in self.samplers:
             if s not in ("pss", "uss"):
                 raise DomainError(f"unknown sampler {s!r} (expected 'pss' or 'uss')")
-        if any(k < 1 for k in self.lambda_ks):
-            raise DomainError("lambda_ks entries must be positive integers")
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":
@@ -192,8 +179,12 @@ def iat_sweep(config: ExperimentConfig, max_workers: Optional[int] = None) -> di
     """Run the dimension sweep of radius-trace IATs for each sampler.
 
     Returns per-rep rows plus rep=-1 summary rows carrying mean and
-    standard deviation; deterministic given the config.
+    standard deviation; deterministic given the config.  ``max_workers``,
+    None or a positive integer, sizes a process pool when above 1.
     """
+    if max_workers is not None:
+        check_number("max_workers", max_workers, "a positive integer", lambda v: v >= 1,
+                     integer=True)
     jobs = [
         (config.target, config.target_params, d, s, rep,
          row_seed(config.base_seed, d, s, rep), config.n_it)

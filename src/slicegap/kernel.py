@@ -37,14 +37,13 @@ the 2n grid's refinement, whose every other point refines the n grid.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import (DegenerateSupportError, DomainError, InvalidLevelSetError,
-                     NoConvergenceError)
+                     NoConvergenceError, check_number)
 from .levelset import LevelSetFunction
 
 __all__ = [
@@ -108,13 +107,6 @@ def _mass_window(ell: LevelSetFunction, s_sup: float, depth: float):
     return grid, np.cumsum(vals[1:] + vals[:-1])
 
 
-def _check_mass_tol(mass_tol) -> None:
-    """Reject a ``mass_tol`` that is not a real number in (0, 1)."""
-    if (isinstance(mass_tol, bool) or not isinstance(mass_tol, numbers.Real)
-            or not 0.0 < mass_tol < 1.0):
-        raise DomainError(f"mass_tol must be a number in (0, 1), got {mass_tol!r}")
-
-
 def build_tgrid(ell: LevelSetFunction, n: int = 2048,
                 mass_tol: float = 1e-8) -> TGrid:
     """Log-spaced grid from a mass-truncated lower level up to the support sup.
@@ -124,11 +116,11 @@ def build_tgrid(ell: LevelSetFunction, n: int = 2048,
     1e-12 of its stationary mass.  The lower boundary is then the highest
     point of that window with at most ``mass_tol`` of the mass below it,
     read off the window's cumulative trapezoid sums, so the reported
-    truncation mass never exceeds ``mass_tol``.
+    truncation mass never exceeds ``mass_tol``, which must lie in (0, 1); ``n``
+    must be a positive integer.
     """
-    _check_mass_tol(mass_tol)
-    if n < 1:
-        raise DomainError(f"grid size must be at least 1, got {n}")
+    check_number("grid size", n, "a positive integer", lambda v: v >= 1, integer=True)
+    check_number("mass_tol", mass_tol, "a number in (0, 1)", lambda v: 0 < v < 1)
     s_sup = ell.log_support_sup
     if not math.isfinite(s_sup):
         raise DomainError("grid construction requires a finite support supremum")
@@ -363,10 +355,9 @@ def certify_gap(ell: LevelSetFunction, n: int = 2048,
     The truncation search runs once, for the 2n grid; the n grid is every
     other boundary of it.  ``ell`` is evaluated once, on the 2n grid's
     16-fold refinement, and the n kernel is assembled from every other
-    one of those values, which refine the n grid 16-fold.
+    one of those values, which refine the n grid 16-fold.  ``n`` is an integer >= 2.
     """
-    if n < 1:
-        raise DomainError(f"grid size must be at least 1, got {n}")
+    check_number("grid size", n, "an integer >= 2", lambda v: v >= 2, integer=True)
     grid2 = build_tgrid(ell, 2 * n, mass_tol)
     grid = TGrid(grid2.boundaries[::2], grid2.truncation_mass)
     fine = _refinement(grid2.boundaries, _REFINE)
@@ -395,8 +386,9 @@ def duality_gap_compare(ell_a: LevelSetFunction, ell_b: LevelSetFunction,
     """Compare two level-set functions and the gaps of their level chains.
 
     ``max_ell_abs_diff`` is taken over 50 evenly spaced interior points of
-    ``ell_a``'s grid of ``n`` cells, on which both gaps are computed.
+    ``ell_a``'s grid of ``n >= 2`` cells, on which both gaps are computed.
     """
+    check_number("grid size", n, "an integer >= 2", lambda v: v >= 2, integer=True)
     grid = build_tgrid(ell_a, n, mass_tol)
     probes = np.linspace(grid.boundaries[0], grid.boundaries[-1], 52)[1:-1]
     va = ell_a.eval(probes)
@@ -412,11 +404,13 @@ def transition_cdf(ell: LevelSetFunction, log_t: float, log_b: float) -> float:
 
     Evaluates ``(1/ell(t)) int_t^sup min(b, s)/s d(-ell)(s)`` with the
     Stieltjes measure realized as differences of ``ell`` on a log-uniform
-    refinement of (t, sup) into 2^16 subintervals.
+    refinement of (t, sup) into 2^16 subintervals.  ``log_t`` is finite and
+    below sup; ``log_b`` may be infinite, not NaN.
     """
     s_sup = ell.log_support_sup
-    if not log_t < s_sup:
-        raise DomainError("current level is outside the support")
+    check_number("log_t", log_t, f"a finite level below the support supremum {s_sup}",
+                 lambda v: -math.inf < v < s_sup)
+    check_number("log_b", log_b, "a number that is not NaN", lambda v: not math.isnan(v))
     s = np.linspace(log_t, s_sup, (1 << 16) + 1)
     lv_log = ell.log(s)
     top = lv_log[0]

@@ -37,9 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EmptyLevelError, NoRootError
-from .targets import (RadialFactorization, RadialTarget, _check_positive_integer, log_h,
-                      log_surface_area)
+from .errors import DomainError, EmptyLevelError, NoRootError, check_number
+from .targets import RadialFactorization, RadialTarget, log_h, log_surface_area
 
 __all__ = [
     "LevelSetFunction",
@@ -141,7 +140,7 @@ def mode_radius(target: RadialTarget, fac: RadialFactorization) -> float:
     Bisects the sign change of ``alpha - r * phi'(r)``, which for
     ``alpha = 0`` gives the minimizer of phi.  The bracket is found by
     deepening toward 0 from 1 (``kappa / 2`` for a finite cutoff), then
-    searching outward.
+    searching outward, up to about 1.6e60 without a cutoff.
     """
     fac.validate_for(target)
     kappa = target.kappa
@@ -156,9 +155,8 @@ def mode_radius(target: RadialTarget, fac: RadialFactorization) -> float:
     for b in _outward(a, kappa):
         if rise(b) <= 0.0:
             return _bisect(rise, 0.0, a, b)
-    raise NoRootError(
-        "could not bracket the profile mode; target outside the supported class"
-    )
+    raise NoRootError(f"could not bracket the profile mode up to r = {b:.3g}; "
+                      f"target outside the supported class")
 
 
 @dataclass(frozen=True)
@@ -492,10 +490,9 @@ def lambda_k_check(ell: LevelSetFunction, k: int) -> MembershipReport:
     units of ``s`` above ``s0 = -log_support_sup``, inside the open support;
     ``s0`` must be finite.  The third condition tests nonpositive second
     differences of ``s -> ell(exp(-s))^{1/k}``, the transformed statement
-    of log-concavity of the inverse.
+    of log-concavity of the inverse.  ``k`` is a positive integer.
     """
-    _check_positive_integer("k", k)
-    k = int(k)
+    k = check_number("k", k, "a positive integer", lambda v: v >= 1, integer=True)
     s0 = -ell.log_support_sup
     if not math.isfinite(s0):
         raise DomainError("the class check needs a finite support supremum")
@@ -545,22 +542,21 @@ def canonical_inverse_phi(ell: LevelSetFunction, k: int, s: float) -> float:
     """Radius of the canonical k-dimensional comparator at potential level s.
 
     Computes ``(k * ell(exp(-s)) / sigma_{k-1})^{1/k}``; returns 0 where the
-    level set is empty.
+    level set is empty.  ``k`` is a positive integer, ``s`` finite.
     """
-    _check_positive_integer("k", k)
+    k = check_number("k", k, "a positive integer", lambda v: v >= 1, integer=True)
     s0 = -ell.log_support_sup
-    if not s > s0:
-        raise DomainError(f"s={s} is outside the domain (s must exceed {s0})")
+    check_number("s", s, f"a finite number above {s0}", lambda v: s0 < v < math.inf)
     lv = ell.log(-s)
     if not math.isfinite(lv):
         return 0.0
-    return math.exp((math.log(k) + lv - log_surface_area(int(k))) / k)
+    return math.exp((math.log(k) + lv - log_surface_area(k)) / k)
 
 
 def canonical_potential(ell: LevelSetFunction, k: int, r: float) -> float:
-    """Numeric inverse of :func:`canonical_inverse_phi` in its s argument."""
-    if r <= 0.0:
-        raise DomainError("r must be positive")
+    """Numeric inverse of :func:`canonical_inverse_phi` in its s argument,
+    for a finite positive radius ``r``."""
+    check_number("r", r, "a finite positive radius", lambda v: 0 < v < math.inf)
     s0 = -ell.log_support_sup
     # Negated radius: like a profile, it falls through the level -r as s grows.
     fall = lambda s: -canonical_inverse_phi(ell, k, s)

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_number
 from .levelset import (
     LevelSetFunction,
     SliceProfile,
@@ -68,10 +68,13 @@ _STEP_BLOCK = 1 << 16
 
 
 def make_rng(base_seed: int, chain_index: int = 0) -> np.random.Generator:
-    """Independent stream for chain ``chain_index`` of a seeded experiment."""
+    """Independent stream for chain ``chain_index`` (an integer >= 0) of an
+    experiment seeded by the integer ``base_seed``."""
+    base_seed = check_number("base_seed", base_seed, "an integer", integer=True)
+    chain_index = check_number("chain_index", chain_index, "a nonnegative integer",
+                               lambda v: v >= 0, integer=True)
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=int(base_seed) & (2**64 - 1),
-                               spawn_key=(int(chain_index),))
+        np.random.SeedSequence(entropy=base_seed & (2**64 - 1), spawn_key=(chain_index,))
     )
 
 
@@ -183,8 +186,6 @@ def _alternate(first, second, x0: float, n: int,
                rng: np.random.Generator) -> np.ndarray:
     """The ``n + 1`` states of ``x -> second(first(x, u), v)`` from ``x0``;
     the ``2n`` uniforms are drawn in one block, in the order used."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
     uniforms = iter(_open_uniforms(rng, 2 * n).tolist())
     values = np.empty(n + 1)
     x = values[0] = x0
@@ -198,11 +199,13 @@ def run_x_chain(target: RadialTarget, fac: RadialFactorization,
     """Alternate level and set updates for ``n`` steps from ``init_radius``.
 
     Returns the ``(n + 1,)`` array of radii ``||x||``, the first being
-    ``init_radius``.
+    ``init_radius``.  ``n`` and ``seed`` are integers, ``n >= 0``.
     """
+    check_number("init_radius", init_radius, f"a radius in (0, {target.kappa})",
+                 lambda r: 0 < r < target.kappa)
+    check_number("n", n, "a nonnegative integer", lambda v: v >= 0, integer=True)
+    check_number("seed", seed, "an integer", integer=True)
     level, radius, _ = _half_steps(target, fac)
-    if not (0.0 < init_radius < target.kappa):
-        raise DomainError(f"init_radius={init_radius} outside (0, kappa)")
     return _alternate(level, radius, float(init_radius), n, make_rng(seed, 0))
 
 
@@ -211,11 +214,15 @@ def run_t_chain(target: RadialTarget, fac: RadialFactorization,
     """Auxiliary level chain: set update then level update, for ``n`` steps.
 
     Returns the ``(n + 1,)`` array of log levels ``log t``, the first being
-    ``init_log_t``.
+    ``init_log_t``, a finite level below the profile supremum; ``n`` and
+    ``seed`` are integers, ``n >= 0``.
     """
+    check_number("init_log_t", init_log_t, "a finite level", math.isfinite)
+    check_number("n", n, "a nonnegative integer", lambda v: v >= 0, integer=True)
+    check_number("seed", seed, "an integer", integer=True)
     level, radius, log_sup = _half_steps(target, fac)
-    if not init_log_t < log_sup:
-        raise DomainError("init_log_t is not inside the support of the level chain")
+    check_number("init_log_t", init_log_t, f"below the profile supremum {log_sup}",
+                 lambda v: v < log_sup)
     return _alternate(radius, level, float(init_log_t), n, make_rng(seed, 0))
 
 

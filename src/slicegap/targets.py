@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import inspect
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_number
 
 __all__ = [
     "RadialTarget",
@@ -38,6 +37,11 @@ __all__ = [
 ]
 
 
+# Largest volcano offset c.  Levels are solved to 4 ulp of log r, about
+# 4 eps c log(c) in r, so beyond it the unit-wide ridge starts to blur.
+_VOLCANO_MAX_OFFSET = 1e8
+
+
 def _finite_difference(phi: Callable[[np.ndarray], np.ndarray],
                        kappa: float = math.inf) -> Callable[[np.ndarray], np.ndarray]:
     """Central difference of ``phi`` whose points stay inside ``(0, kappa)``."""
@@ -49,11 +53,6 @@ def _finite_difference(phi: Callable[[np.ndarray], np.ndarray],
     return dphi
 
 
-def _check_positive_integer(name: str, value) -> None:
-    if isinstance(value, bool) or not (value >= 1 and float(value).is_integer()):  # no inf, NaN
-        raise DomainError(f"{name} must be a positive integer, got {value}")
-
-
 @dataclass(frozen=True)
 class RadialTarget:
     """Radial potential ``phi``, its derivative, support cutoff and dimension.
@@ -62,8 +61,9 @@ class RadialTarget:
     ``||x|| < kappa`` and zero outside.  ``phi`` and ``dphi`` map a float
     array of radii to an array of its shape; ``dphi`` may return a constant,
     or be omitted, in which case a central finite difference of ``phi`` is
-    used.  Both are called once on two radii when the target is built, and
-    one that fails on an array raises a ``DomainError`` naming it.
+    used.  Both are called once on two radii when the target is built.  A
+    ``phi`` or ``dphi`` that fails on an array, a ``dim`` that is not a positive
+    integer or a ``kappa`` that is not positive raises a ``DomainError``.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -73,9 +73,8 @@ class RadialTarget:
     tag: str = "custom"
 
     def __post_init__(self):
-        _check_positive_integer("dim", self.dim)
-        if isinstance(self.kappa, bool) or not self.kappa > 0:
-            raise DomainError(f"kappa must be a positive number, got {self.kappa}")
+        check_number("dim", self.dim, "a positive integer", lambda d: d >= 1, integer=True)
+        check_number("kappa", self.kappa, "a positive number", lambda k: k > 0)
         if self.dphi is None:
             object.__setattr__(self, "dphi", _finite_difference(self.phi, self.kappa))
         probe = np.full(2, min(1.0, 0.5 * self.kappa))
@@ -90,13 +89,13 @@ class RadialTarget:
 
 @dataclass(frozen=True)
 class RadialFactorization:
-    """Radial power weight exponent ``alpha`` in [0, d-1]."""
+    """Radial power weight exponent ``alpha``, a finite number in [0, d-1]."""
 
     alpha: float
 
     def __post_init__(self):
-        if isinstance(self.alpha, bool) or not 0 <= self.alpha < math.inf:  # no NaN
-            raise DomainError(f"alpha must be a finite nonnegative number, got {self.alpha}")
+        check_number("alpha", self.alpha, "a finite nonnegative number",
+                     lambda a: 0 <= a < math.inf)
 
     @staticmethod
     def uss() -> "RadialFactorization":
@@ -105,13 +104,12 @@ class RadialFactorization:
     @staticmethod
     def pss(dim: int) -> "RadialFactorization":
         # PSS coincides with USS in one dimension.
-        return RadialFactorization(float(max(dim - 1, 0)))
+        check_number("dim", dim, "a positive integer", lambda d: d >= 1, integer=True)
+        return RadialFactorization(float(dim - 1))
 
     def validate_for(self, target: RadialTarget) -> None:
-        if self.alpha > target.dim - 1 + 1e-12:
-            raise DomainError(
-                f"alpha={self.alpha} exceeds d-1={target.dim - 1} for this target"
-            )
+        check_number("alpha", self.alpha, f"at most d-1 = {target.dim - 1} for this target",
+                     lambda a: a <= target.dim - 1 + 1e-12)
 
 
 def log_h(target: RadialTarget, fac: RadialFactorization, r):
@@ -134,13 +132,13 @@ def surface_area(d: int) -> float:
 
 
 def log_surface_area(d: int) -> float:
-    """Log of the surface measure of S^{d-1}; safe for large d.
+    """Log of the surface measure of S^{d-1}, for an integer d >= 1 however large.
 
     Uses the standard library's ``math.lgamma``, which stays within 2.9e-14
     absolute of ``scipy.special.gammaln`` in this formula for d <= 100 and
     within 1.8e-12 for d <= 2000 (scipy 1.17.1).
     """
-    _check_positive_integer("d", d)
+    check_number("d", d, "a positive integer", lambda v: v >= 1, integer=True)
     return math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
 
 
@@ -157,9 +155,9 @@ def exponential(dim: int) -> RadialTarget:
 
 
 def volcano(dim: int, c: float = 2.0) -> RadialTarget:
-    """phi(r) = (r - c)^2: a ridge of mass at radius c."""
-    if isinstance(c, bool) or not isinstance(c, numbers.Real) or not 0 < c < math.inf:
-        raise DomainError(f"volcano offset c must be a finite positive number, got {c!r}")
+    """phi(r) = (r - c)^2: a ridge of mass at radius c, for 0 < c <= 1e8."""
+    check_number("volcano offset c", c, f"a finite positive number at most "
+                 f"{_VOLCANO_MAX_OFFSET:g}", lambda v: 0 < v <= _VOLCANO_MAX_OFFSET)
     return RadialTarget(
         phi=lambda r: (r - c) ** 2, dphi=lambda r: 2.0 * (r - c),
         kappa=math.inf, dim=dim, tag="volcano",

@@ -220,6 +220,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: volcano offset c must be a finite") and "nan" in err
 
+    @pytest.mark.parametrize("c", [1e14, 1e300], ids=["1e14", "1e300"])
+    def test_unresolvable_volcano_offset_exit_code(self, tmp_path, capsys, c):
+        # levels solved to 4 ulp of log r blur a ridge this far out: 1e14
+        # once gave a "converged" gap of 0.8805 against 0.6668 at 1e6, and
+        # 1e300 failed as "could not bracket the profile mode"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"target": "volcano", "target_params": {"c": c},
+                                      "dims": [3], "samplers": ["pss"]}))
+        assert main(["gap-table", "--grid-size", "256", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: volcano offset c must be a finite positive number "
+                              "at most 1e+08")
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 8: at paper scale a grid cell "
                        "carries no flux, and gap-table exits 2")
     def test_gap_table_paper_scale(self, tmp_path):

@@ -62,6 +62,13 @@ class TestModeRadius:
         assert mode_radius(exponential(2), USS()) == 0.0
         assert mode_radius(radial_weighted_exponential(4), PSS(4)) == 0.0
 
+    def test_mode_beyond_the_search_names_where_it_stopped(self):
+        # a ridge at 1e70 lies past the outward search's last point, 2^200
+        far = RadialTarget(phi=lambda r: (r - 1e70) ** 2, dphi=lambda r: 2.0 * (r - 1e70),
+                           dim=3)
+        with pytest.raises(NoRootError, match=r"profile mode up to r = 1\.61e\+60; target"):
+            mode_radius(far, PSS(3))
+
 
 class TestLevelInterval:
     def test_uss_exponential(self):
