@@ -140,6 +140,7 @@ class ExperimentConfig:
 
 def row_seed(base_seed: int, d: int, sampler: str, rep: int) -> int:
     """Stable per-row seed: base_seed XOR a digest of the row coordinates."""
+    base_seed = check_number("base_seed", base_seed, "an integer", integer=True)
     digest = hashlib.sha256(f"{d}:{sampler}:{rep}".encode()).digest()
     return (base_seed ^ int.from_bytes(digest[:8], "big")) & (2**64 - 1)
 

@@ -23,9 +23,11 @@ Many levels of one profile are bracketed by rungs: levels solved by
 ``level_interval``.  ``r_lo`` rises with the level and ``r_hi`` falls, so
 the two rungs around a level bracket both of its endpoints, and Newton
 starts between them.  ``level_bounds`` picks the rungs of an array of
-levels among the levels themselves and solves the levels between them as
-one array; a chain's ``_ladder`` keeps a ladder of levels 1/16 apart below
-the supremum, each solved the first time the chain comes next to it.
+levels among the levels themselves (without a sort when they increase),
+gathers the brackets from one flat array of rung roots and solves both
+endpoints of the levels between them in one Newton call; a chain's
+``_ladder`` keeps a ladder of levels 1/16 apart below the supremum, each
+solved the first time the chain comes next to it.
 """
 
 from __future__ import annotations
@@ -196,7 +198,9 @@ def level_interval(prof: SliceProfile, log_t: float) -> tuple[float, float]:
     non-increasing profile, from an anchor above the level found by
     deepening toward 0, then at the smallest positive float), then solved by
     the safeguarded Newton iteration in ``log r`` (``_newton_scalar``),
-    started at the search's last point."""
+    started at the search's last point.  ``log_t`` is a number above -inf;
+    a NaN one, like one at or above the supremum, has an empty level set."""
+    check_number("log_t", log_t, "a number above -inf", lambda v: v != -math.inf)
     if not log_t < prof.log_sup:
         raise EmptyLevelError(
             f"log_t={log_t} is not below the profile supremum {prof.log_sup}"
@@ -245,10 +249,11 @@ def level_bounds(prof: SliceProfile, log_t: np.ndarray) -> tuple[np.ndarray, np.
     Levels are processed in chunks of ``_CHUNK`` so that the working arrays
     stay small.  In each chunk up to ``_CHUNK_RUNGS`` distinct levels at
     evenly spaced quantiles, its lowest and highest level among them, are
-    rungs solved by :func:`level_interval`.  Every other level is solved
-    between the roots of the two rungs around it, all at once, by the
-    safeguarded Newton iteration in ``u = log r`` that stops on a
-    tolerance, with the rung-pair rules of :func:`_ladder`.
+    rungs solved by :func:`level_interval`; only a chunk that does not
+    strictly increase is sorted to find them.  Both endpoints of every other
+    level are solved between the roots of the two rungs around it, in one
+    call of the safeguarded Newton iteration in ``u = log r`` that stops on
+    a tolerance, with the rung-pair rules of :func:`_ladder`.
     """
     log_t = np.asarray(log_t, dtype=float).ravel()
     if not np.all(log_t < prof.log_sup):
@@ -263,32 +268,44 @@ def level_bounds(prof: SliceProfile, log_t: np.ndarray) -> tuple[np.ndarray, np.
 
 def _level_bounds_chunk(prof: SliceProfile,
                         log_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    levels = np.unique(log_t)
+    n = log_t.size
+    # a strictly increasing chunk, as every costly caller passes, is its own np.unique
+    levels = log_t if np.all(log_t[1:] > log_t[:-1]) else np.unique(log_t)
     pick = np.linspace(0, levels.size - 1, min(levels.size, _CHUNK_RUNGS))
     rung_t = levels[pick.round().astype(int)]
-    rungs = np.array([level_interval(prof, t) for t in rung_t.tolist()])
+    m = rung_t.size
+    # Flat rung roots: every r_lo, then every r_hi, so each bracket is a 1-D gather.
+    rungs = np.array([level_interval(prof, t) for t in rung_t.tolist()]).T.ravel()
     # Each level takes the interval of the rung at or above it: its own, or
     # the r_lo = 0 and r_hi = kappa that hold below a rung with them.
     j = np.searchsorted(rung_t, log_t)
-    r_lo, r_hi = rungs[j].T
+    r = rungs[np.concatenate((j, j + m))]
     mid = np.flatnonzero(rung_t[j] != log_t)
     j, lt = j[mid], log_t[mid]
     with np.errstate(divide="ignore"):
         u = np.log(rungs)
-    (lo0, hi0), (lo1, hi1) = u[j - 1].T, u[j].T
+    # Both endpoints as one problem list: the lower ones, then the upper ones.
+    jj = np.concatenate((j, j + m))
+    a, b = u[jj - 1], u[jj]
     w = (lt - rung_t[j - 1]) / (rung_t[j] - rung_t[j - 1])
     log_kappa = math.log(prof.target.kappa)
+    k = mid.size
     # Rungs that straddle r_lo = 0 or r_hi = kappa bracket nothing there.
-    straddle = (lo0 == -math.inf) & (lo1 > -math.inf) | (hi0 == log_kappa) & (hi1 < log_kappa)
+    straddle = ((a[:k] == -math.inf) & (b[:k] > -math.inf)
+                | (a[k:] == log_kappa) & (b[k:] < log_kappa))
     for i in mid[straddle].tolist():
-        r_lo[i], r_hi[i] = level_interval(prof, float(log_t[i]))
+        r[i], r[i + n] = level_interval(prof, float(log_t[i]))
     # Newton between the rungs' roots, started at their interpolation, on
     # each endpoint that the rung above has not answered.
-    for r, a, b in ((r_lo, lo0, lo1), (r_hi, hi0, hi1)):
-        s = ~straddle & (-math.inf < b) & (b < log_kappa)
-        r[mid[s]] = _newton_log_radius(prof.target, prof.alpha, lt[s], a[s], b[s],
-                                       a[s] + w[s] * (b[s] - a[s]))
-    return r_lo, r_hi
+    dest, lt, w = np.concatenate((mid, mid + n)), np.concatenate((lt, lt)), np.concatenate((w, w))
+    s = np.concatenate((~straddle, ~straddle)) & (-math.inf < b) & (b < log_kappa)
+    if not s.all():
+        dest, lt, w, a, b = dest[s], lt[s], w[s], a[s], b[s]
+    start = a + w * (b - a)
+    # free the scaffolding before Newton allocates: repeated calls keep a smaller heap
+    del j, jj, mid, w, straddle, s
+    r[dest] = _newton_log_radius(prof.target, prof.alpha, lt, a, b, start)
+    return r[:n], r[n:]
 
 
 def _newton_log_radius(target: RadialTarget, alpha: float, log_t: np.ndarray,
@@ -297,14 +314,16 @@ def _newton_log_radius(target: RadialTarget, alpha: float, log_t: np.ndarray,
     """Root of ``g(u) = alpha u - phi(e^u) - log_t`` inside each bracket,
     started at ``u`` inside it.
 
-    ``g(u_below) <= 0 < g(u_above)``; the ends may be in either order.  A
-    Newton step with ``g'(u) = alpha - r phi'(r)`` is taken when it stays
-    inside the bracket and is shorter than half the step before last,
-    otherwise a bisection step (Press et al., Numerical Recipes, rtsafe).
-    The halving rule keeps near-double roots next to the profile mode from
-    oscillating.  An element stops once its step, which after a bisection
-    is half its bracket, is within ``_U_TOL * max(|u|, 1)``.  Returns the
-    radii ``e^u``; an empty selection returns at once.
+    ``g(u_below) <= 0 < g(u_above)``; the ends may be in either order, so
+    one call takes both endpoints of many levels, and the call narrows the
+    two bracket arrays in place.  A Newton step with
+    ``g'(u) = alpha - r phi'(r)`` is taken when it stays inside the bracket
+    and is shorter than half the step before last, otherwise a bisection
+    step (Press et al., Numerical Recipes, rtsafe).  The halving rule keeps
+    near-double roots next to the profile mode from oscillating.  An element
+    stops once its step, which after a bisection is half its bracket, is
+    within ``_U_TOL * max(|u|, 1)``.  Returns the radii ``e^u``; an empty
+    selection returns at once.
     """
     out = np.empty(log_t.size)
     if not log_t.size:
@@ -318,15 +337,18 @@ def _newton_log_radius(target: RadialTarget, alpha: float, log_t: np.ndarray,
             g = alpha * u - target.phi(r) - lt
             dg = alpha - r * target.dphi(r)
             up = g > 0.0
-            xa = np.where(up, u, xa)
-            xb = np.where(up, xb, u)
+            np.copyto(xa, u, where=up)
+            np.copyto(xb, u, where=~up)
             step = g / dg
             new = u - step
             astep = np.abs(step)
             newton = (astep < 0.5 * dxold) & ((new - xa) * (new - xb) <= 0.0)
             dxold = dx
-            dx = np.where(newton, astep, 0.5 * np.abs(xa - xb))
-            u = np.where(newton, new, 0.5 * (xa + xb))
+            if newton.all():
+                dx, u = astep, new
+            else:
+                dx = np.where(newton, astep, 0.5 * np.abs(xa - xb))
+                u = np.where(newton, new, 0.5 * (xa + xb))
             done = dx <= _U_TOL * np.maximum(np.abs(u), 1.0)
             if done.any():
                 out[idx[done]] = u[done]

@@ -180,7 +180,7 @@ def radial_weighted_exponential(dim: int) -> RadialTarget:
     is exactly exp(-r), which makes the level-set function linear in
     log(1/t).
     """
-    dm1 = dim - 1
+    dm1 = check_number("dim", dim, "a positive integer", lambda d: d >= 1, integer=True) - 1
     return RadialTarget(
         phi=lambda r: r + dm1 * np.log(r),
         dphi=lambda r: 1.0 + dm1 / r,
@@ -198,10 +198,10 @@ BUILTIN_TAGS = {
 
 def make_builtin(tag: str, dim: int, **params) -> RadialTarget:
     """Resolve a builtin target by tag name."""
-    key = tag.lower()
-    if key not in BUILTIN_TAGS:
-        raise DomainError(f"unknown builtin target {tag!r}; known: {sorted(BUILTIN_TAGS)}")
-    make = BUILTIN_TAGS[key]
+    if not isinstance(tag, str) or tag.lower() not in BUILTIN_TAGS:
+        raise DomainError(f"tag must be a builtin target name, one of "
+                          f"{sorted(BUILTIN_TAGS)}, got {tag!r}")
+    make = BUILTIN_TAGS[tag.lower()]
     try:
         inspect.signature(make).bind(dim, **params)
     except TypeError as exc:

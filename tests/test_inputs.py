@@ -16,12 +16,13 @@ import pytest
 
 from slicegap.diagnostics import autocorr, iat, iat_bound_from_gap
 from slicegap.errors import DomainError
-from slicegap.harness import ExperimentConfig, iat_sweep
+from slicegap.harness import ExperimentConfig, iat_sweep, row_seed
 from slicegap.kernel import build_tgrid, certify_gap, duality_gap_compare, transition_cdf
 from slicegap.levelset import (canonical_inverse_phi, canonical_potential, lambda_k_check,
-                               level_set_function)
+                               level_interval, level_set_function, slice_profile)
 from slicegap.samplers import make_rng, run_t_chain, run_x_chain
-from slicegap.targets import RadialFactorization, RadialTarget, log_surface_area, volcano
+from slicegap.targets import (RadialFactorization, RadialTarget, log_surface_area, make_builtin,
+                              radial_weighted_exponential, volcano)
 
 # Evaluations of the recording target's phi and dphi since the last clear.
 CALLS = []
@@ -41,6 +42,7 @@ def _dphi(r):
 TARGET = RadialTarget(phi=_phi, dphi=_dphi, dim=3)
 PSS = RadialFactorization(2.0)
 ELL = level_set_function(TARGET, PSS)
+PROF = slice_profile(TARGET, PSS)
 S_SUP = ELL.log_support_sup
 TRACE = np.random.default_rng(0).normal(size=20)
 CONFIG = ExperimentConfig(dims=(2,), samplers=("pss",), n_it=10, n_rep=1)
@@ -61,6 +63,9 @@ ROWS = [
     ("log_surface_area.d", "d", log_surface_area, INTEGER + [0], True),
     ("volcano.c", "volcano offset c", lambda v: volcano(3, v),
      NUMBER + [math.inf, 0.0, 1e14, 1e300], True),
+    ("radial_weighted_exponential.dim", "dim", radial_weighted_exponential,
+     INTEGER + [0], True),
+    ("make_builtin.tag", "tag", lambda v: make_builtin(v, 3), [5, None, True, "cauchy"], True),
     ("build_tgrid.n", "grid size", lambda v: build_tgrid(ELL, v),
      INTEGER + [64.0, 0], True),
     ("certify_gap.n", "grid size", lambda v: certify_gap(ELL, v),
@@ -83,10 +88,14 @@ ROWS = [
     ("run_t_chain.seed", "seed", lambda v: run_t_chain(TARGET, PSS, 5, -3.0, v),
      INTEGER, True),
     ("make_rng.base_seed", "base_seed", make_rng, INTEGER, True),
+    ("row_seed.base_seed", "base_seed", lambda v: row_seed(v, 2, "pss", 0), INTEGER, True),
     ("make_rng.chain_index", "chain_index", lambda v: make_rng(1, v), INTEGER + [-1], True),
     ("iat.max_lag", "max_lag", lambda v: iat(TRACE, v), INTEGER + [-1], True),
     ("autocorr.max_lag", "max_lag", lambda v: autocorr(TRACE, v),
      INTEGER + [-1, TRACE.size], True),
+    # a NaN level, like one at or above the supremum, is an EmptyLevelError
+    ("level_interval.log_t", "log_t", lambda v: level_interval(PROF, v),
+     [True, "1", 1 + 0j, -math.inf], True),
     ("transition_cdf.log_t", "log_t", lambda v: transition_cdf(ELL, v, S_SUP - 1.0),
      NUMBER + [-math.inf, math.inf, S_SUP, S_SUP + 1.0], True),
     ("transition_cdf.log_b", "log_b", lambda v: transition_cdf(ELL, S_SUP - 1.0, v),
@@ -128,3 +137,5 @@ def test_valid_input_still_runs():
     assert make_rng(np.int64(3), np.uint8(1)).random() == make_rng(3, 1).random()
     assert make_rng(10**400).random() == make_rng(10**400 % 2**64).random()  # not a float
     assert volcano(3, 1e8).tag == "volcano"
+    assert make_builtin("Gaussian", 3).tag == "gaussian"
+    assert row_seed(np.int64(5), 2, "pss", 0) == row_seed(5, 2, "pss", 0)

@@ -516,13 +516,15 @@ def _across(target, fac, top, bottom):
 
 class TestRungs:
     """``level_bounds`` solves a chunk's levels between rungs solved by
-    :func:`level_interval`, and gives its intervals to rel 1e-12."""
+    :func:`level_interval`, and gives its intervals to rel 1e-12, on
+    shuffled levels and on sorted ones, which skip the sort."""
 
     def _check(self, prof, lts):
-        lo, hi = level_bounds(prof, lts)
         want_lo, want_hi = np.array([level_interval(prof, lt) for lt in lts.tolist()]).T
-        np.testing.assert_allclose(lo, want_lo, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(hi, want_hi, rtol=1e-12, atol=0)
+        for order in (np.argsort(lts), np.arange(lts.size)):
+            lo, hi = level_bounds(prof, lts[order])
+            np.testing.assert_allclose(lo, want_lo[order], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(hi, want_hi[order], rtol=1e-12, atol=0)
         return lo, hi
 
     @pytest.mark.parametrize("sampler", ["pss", "uss"])
@@ -560,6 +562,25 @@ class TestRungs:
         # h = r^0.01 e^{-r}: r_lo = 0 from about 7.1 below the supremum
         lo, _ = self._check(*_across(exponential(3), RadialFactorization(0.01), 6.0, 9.0))
         assert np.any(lo == 0.0) and np.any(lo > 0.0)
+
+    @pytest.mark.parametrize("target, fac, top, bottom", [
+        (volcano(4, 2.0), USS(), 3.0, 5.0),
+        (_unit_ball_barrier(), PSS(3), 30.0, 45.0),
+        (exponential(3), RadialFactorization(0.01), 6.0, 9.0),
+        (gaussian(5), PSS(5), 0.05, 60.0),
+    ], ids=["volcano-uss", "barrier", "lower-underflow", "gaussian-pss"])
+    def test_order_of_a_chunk_moves_no_bit(self, target, fac, top, bottom):
+        # one chunk, some levels repeated: sorted, descending and shuffled
+        # copies pick the same rungs, so every radius is the same float
+        prof, lts = _across(target, fac, top, bottom)
+        lts = np.concatenate((lts[:levelset._CHUNK - 100], lts[:100]))
+        increasing = np.sort(lts)
+        want = level_bounds(prof, increasing)
+        for order in (increasing[::-1], lts, np.unique(lts)):
+            got = level_bounds(prof, order)
+            back = np.searchsorted(increasing, order)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w[back])
 
     def test_one_level_is_one_scalar_solve(self, monkeypatch):
         base = exponential(5)
