@@ -23,9 +23,9 @@ Many levels of one profile are bracketed by rungs: levels solved by
 ``level_interval``.  ``r_lo`` rises with the level and ``r_hi`` falls, so
 the two rungs around a level bracket both of its endpoints, and Newton
 starts between them.  ``level_bounds`` picks the rungs of an array of
-levels among the levels themselves (without a sort when they increase),
-gathers the brackets from one flat array of rung roots and solves both
-endpoints of the levels between them in one Newton call; a chain's
+levels among the levels themselves, gathers the brackets from one flat
+array of rung roots and solves both endpoints of the levels between them
+in one Newton call; a chain's
 ``_ladder`` keeps a ladder of levels 1/16 apart below the supremum, each
 solved the first time the chain comes next to it.
 """
@@ -249,11 +249,11 @@ def level_bounds(prof: SliceProfile, log_t: np.ndarray) -> tuple[np.ndarray, np.
     Levels are processed in chunks of ``_CHUNK`` so that the working arrays
     stay small.  In each chunk up to ``_CHUNK_RUNGS`` distinct levels at
     evenly spaced quantiles, its lowest and highest level among them, are
-    rungs solved by :func:`level_interval`; only a chunk that does not
-    strictly increase is sorted to find them.  Both endpoints of every other
-    level are solved between the roots of the two rungs around it, in one
-    call of the safeguarded Newton iteration in ``u = log r`` that stops on
-    a tolerance, with the rung-pair rules of :func:`_ladder`.
+    rungs solved by :func:`level_interval`, so a level of -inf, always the
+    lowest of its chunk, raises its ``DomainError``.  Both endpoints of
+    every other level are solved between the roots of the two rungs around
+    it, in one call of the safeguarded Newton iteration in ``u = log r``
+    that stops on a tolerance, with the rung-pair rules of :func:`_ladder`.
     """
     log_t = np.asarray(log_t, dtype=float).ravel()
     if not np.all(log_t < prof.log_sup):
@@ -269,8 +269,7 @@ def level_bounds(prof: SliceProfile, log_t: np.ndarray) -> tuple[np.ndarray, np.
 def _level_bounds_chunk(prof: SliceProfile,
                         log_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = log_t.size
-    # a strictly increasing chunk, as every costly caller passes, is its own np.unique
-    levels = log_t if np.all(log_t[1:] > log_t[:-1]) else np.unique(log_t)
+    levels = np.unique(log_t)
     pick = np.linspace(0, levels.size - 1, min(levels.size, _CHUNK_RUNGS))
     rung_t = levels[pick.round().astype(int)]
     m = rung_t.size
@@ -301,10 +300,7 @@ def _level_bounds_chunk(prof: SliceProfile,
     s = np.concatenate((~straddle, ~straddle)) & (-math.inf < b) & (b < log_kappa)
     if not s.all():
         dest, lt, w, a, b = dest[s], lt[s], w[s], a[s], b[s]
-    start = a + w * (b - a)
-    # free the scaffolding before Newton allocates: repeated calls keep a smaller heap
-    del j, jj, mid, w, straddle, s
-    r[dest] = _newton_log_radius(prof.target, prof.alpha, lt, a, b, start)
+    r[dest] = _newton_log_radius(prof.target, prof.alpha, lt, a, b, a + w * (b - a))
     return r[:n], r[n:]
 
 
@@ -315,8 +311,7 @@ def _newton_log_radius(target: RadialTarget, alpha: float, log_t: np.ndarray,
     started at ``u`` inside it.
 
     ``g(u_below) <= 0 < g(u_above)``; the ends may be in either order, so
-    one call takes both endpoints of many levels, and the call narrows the
-    two bracket arrays in place.  A Newton step with
+    one call takes both endpoints of many levels.  A Newton step with
     ``g'(u) = alpha - r phi'(r)`` is taken when it stays inside the bracket
     and is shorter than half the step before last, otherwise a bisection
     step (Press et al., Numerical Recipes, rtsafe).  The halving rule keeps
@@ -337,18 +332,15 @@ def _newton_log_radius(target: RadialTarget, alpha: float, log_t: np.ndarray,
             g = alpha * u - target.phi(r) - lt
             dg = alpha - r * target.dphi(r)
             up = g > 0.0
-            np.copyto(xa, u, where=up)
-            np.copyto(xb, u, where=~up)
+            xa = np.where(up, u, xa)
+            xb = np.where(up, xb, u)
             step = g / dg
             new = u - step
             astep = np.abs(step)
             newton = (astep < 0.5 * dxold) & ((new - xa) * (new - xb) <= 0.0)
             dxold = dx
-            if newton.all():
-                dx, u = astep, new
-            else:
-                dx = np.where(newton, astep, 0.5 * np.abs(xa - xb))
-                u = np.where(newton, new, 0.5 * (xa + xb))
+            dx = np.where(newton, astep, 0.5 * np.abs(xa - xb))
+            u = np.where(newton, new, 0.5 * (xa + xb))
             done = dx <= _U_TOL * np.maximum(np.abs(u), 1.0)
             if done.any():
                 out[idx[done]] = u[done]
@@ -472,7 +464,8 @@ def level_set_function(target: RadialTarget, fac: RadialFactorization) -> LevelS
 
     def log_eval(lt: np.ndarray) -> np.ndarray:
         """Log of ell at the log levels ``lt``; -inf at and above the
-        supremum, and an EmptyLevelError for a NaN level."""
+        supremum, an EmptyLevelError for a NaN level and a DomainError for
+        level -inf."""
         if np.any(np.isnan(lt)):
             raise EmptyLevelError("a NaN level has no level set")
         out = np.full(lt.shape, -math.inf)

@@ -180,10 +180,9 @@ def radial_weighted_exponential(dim: int) -> RadialTarget:
     is exactly exp(-r), which makes the level-set function linear in
     log(1/t).
     """
-    dm1 = check_number("dim", dim, "a positive integer", lambda d: d >= 1, integer=True) - 1
     return RadialTarget(
-        phi=lambda r: r + dm1 * np.log(r),
-        dphi=lambda r: 1.0 + dm1 / r,
+        phi=lambda r: r + (dim - 1) * np.log(r),
+        dphi=lambda r: 1.0 + (dim - 1) / r,
         kappa=math.inf, dim=dim, tag="radial_weighted_exponential",
     )
 
@@ -198,10 +197,11 @@ BUILTIN_TAGS = {
 
 def make_builtin(tag: str, dim: int, **params) -> RadialTarget:
     """Resolve a builtin target by tag name."""
-    if not isinstance(tag, str) or tag.lower() not in BUILTIN_TAGS:
+    key = tag.lower() if isinstance(tag, str) else None
+    if key not in BUILTIN_TAGS:
         raise DomainError(f"tag must be a builtin target name, one of "
                           f"{sorted(BUILTIN_TAGS)}, got {tag!r}")
-    make = BUILTIN_TAGS[tag.lower()]
+    make = BUILTIN_TAGS[key]
     try:
         inspect.signature(make).bind(dim, **params)
     except TypeError as exc:

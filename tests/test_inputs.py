@@ -19,7 +19,8 @@ from slicegap.errors import DomainError
 from slicegap.harness import ExperimentConfig, iat_sweep, row_seed
 from slicegap.kernel import build_tgrid, certify_gap, duality_gap_compare, transition_cdf
 from slicegap.levelset import (canonical_inverse_phi, canonical_potential, lambda_k_check,
-                               level_interval, level_set_function, slice_profile)
+                               level_bounds, level_interval, level_set_function,
+                               slice_profile)
 from slicegap.samplers import make_rng, run_t_chain, run_x_chain
 from slicegap.targets import (RadialFactorization, RadialTarget, log_surface_area, make_builtin,
                               radial_weighted_exponential, volcano)
@@ -43,6 +44,9 @@ TARGET = RadialTarget(phi=_phi, dphi=_dphi, dim=3)
 PSS = RadialFactorization(2.0)
 ELL = level_set_function(TARGET, PSS)
 PROF = slice_profile(TARGET, PSS)
+# exp(-3||x||) cut off at the unit ball, where level -inf has the whole ball
+CUTOFF = slice_profile(RadialTarget(phi=lambda r: 3.0 * _phi(r), dphi=lambda r: 3.0 * _dphi(r),
+                                    kappa=1.0, dim=3), PSS)
 S_SUP = ELL.log_support_sup
 TRACE = np.random.default_rng(0).normal(size=20)
 CONFIG = ExperimentConfig(dims=(2,), samplers=("pss",), n_it=10, n_rep=1)
@@ -96,6 +100,8 @@ ROWS = [
     # a NaN level, like one at or above the supremum, is an EmptyLevelError
     ("level_interval.log_t", "log_t", lambda v: level_interval(PROF, v),
      [True, "1", 1 + 0j, -math.inf], True),
+    ("level_bounds.log_t", "log_t",
+     lambda v: level_bounds(CUTOFF, np.array([CUTOFF.log_sup - 1.0, v])), [-math.inf], True),
     ("transition_cdf.log_t", "log_t", lambda v: transition_cdf(ELL, v, S_SUP - 1.0),
      NUMBER + [-math.inf, math.inf, S_SUP, S_SUP + 1.0], True),
     ("transition_cdf.log_b", "log_b", lambda v: transition_cdf(ELL, S_SUP - 1.0, v),
