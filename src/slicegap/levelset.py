@@ -317,8 +317,10 @@ def _newton_log_radius(target: RadialTarget, alpha: float, log_t: np.ndarray,
     step (Press et al., Numerical Recipes, rtsafe).  The halving rule keeps
     near-double roots next to the profile mode from oscillating.  An element
     stops once its step, which after a bisection is half its bracket, is
-    within ``_U_TOL * max(|u|, 1)``.  Returns the radii ``e^u``; an empty
-    selection returns at once.
+    within ``_U_TOL * max(|u|, 1)``; it then sits on a zero-width bracket,
+    where every step leaves it in place, until a quarter of the elements
+    have stopped and the arrays shrink to the rest.  Returns the radii
+    ``e^u``; an empty selection returns at once.
     """
     out = np.empty(log_t.size)
     if not log_t.size:
@@ -339,10 +341,16 @@ def _newton_log_radius(target: RadialTarget, alpha: float, log_t: np.ndarray,
             astep = np.abs(step)
             newton = (astep < 0.5 * dxold) & ((new - xa) * (new - xb) <= 0.0)
             dxold = dx
-            dx = np.where(newton, astep, 0.5 * np.abs(xa - xb))
-            u = np.where(newton, new, 0.5 * (xa + xb))
+            # the Newton step, then bisection where it was refused
+            u, dx, bis = new, astep, np.flatnonzero(~newton)
+            u[bis] = 0.5 * (xa[bis] + xb[bis])
+            dx[bis] = 0.5 * np.abs(xa[bis] - xb[bis])
             done = dx <= _U_TOL * np.maximum(np.abs(u), 1.0)
-            if done.any():
+            # A finished element stays at its u on a zero-width bracket, so
+            # the arrays shrink only once a quarter of them has finished.
+            np.copyto(xa, u, where=done)
+            np.copyto(xb, u, where=done)
+            if 4 * np.count_nonzero(done) >= done.size:
                 out[idx[done]] = u[done]
                 keep = np.flatnonzero(~done)
                 if keep.size == 0:
