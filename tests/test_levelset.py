@@ -580,6 +580,29 @@ class TestRungs:
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w[back])
 
+    @pytest.mark.parametrize("target, fac, top, bottom", [
+        (volcano(4, 2.0), USS(), 3.0, 5.0),
+        (gaussian(5), PSS(5), 0.05, 60.0),
+    ], ids=["volcano-uss", "gaussian-pss"])
+    def test_newton_batch_moves_no_bit(self, monkeypatch, target, fac, top, bottom):
+        # elements that stop early wait on a zero-width bracket until the
+        # arrays shrink: each must end where it ends when solved alone
+        problems = []
+        newton = levelset._newton_log_radius
+
+        def record(*args):
+            problems.append([a.copy() if isinstance(a, np.ndarray) else a for a in args])
+            return newton(*args)
+
+        monkeypatch.setattr(levelset, "_newton_log_radius", record)
+        level_bounds(*_across(target, fac, top, bottom))
+        target, alpha, lt, a, b, u = problems[0]
+        batch = newton(target, alpha, lt, a, b, u)
+        some = np.arange(0, lt.size, 7)
+        alone = [newton(target, alpha, lt[i:i + 1], a[i:i + 1], b[i:i + 1], u[i:i + 1])[0]
+                 for i in some.tolist()]
+        np.testing.assert_array_equal(batch[some], alone)
+
     def test_one_level_is_one_scalar_solve(self, monkeypatch):
         base = exponential(5)
         calls = {"level_interval": 0, "array_phi": 0}
