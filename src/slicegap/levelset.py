@@ -23,9 +23,9 @@ Many levels of one profile are bracketed by rungs: levels solved by
 ``level_interval``.  ``r_lo`` rises with the level and ``r_hi`` falls, so
 the two rungs around a level bracket both of its endpoints, and Newton
 starts between them.  ``level_bounds`` picks the rungs of an array of
-levels among the levels themselves, gathers the brackets from one flat
-array of rung roots and solves both endpoints of the levels between them
-in one Newton call; a chain's
+levels among the levels themselves (without a sort when they increase),
+gathers the brackets from one flat array of rung roots and solves both
+endpoints of the levels between them in one Newton call; a chain's
 ``_ladder`` keeps a ladder of levels 1/16 apart below the supremum, each
 solved the first time the chain comes next to it.
 """
@@ -250,10 +250,11 @@ def level_bounds(prof: SliceProfile, log_t: np.ndarray) -> tuple[np.ndarray, np.
     stay small.  In each chunk up to ``_CHUNK_RUNGS`` distinct levels at
     evenly spaced quantiles, its lowest and highest level among them, are
     rungs solved by :func:`level_interval`, so a level of -inf, always the
-    lowest of its chunk, raises its ``DomainError``.  Both endpoints of
-    every other level are solved between the roots of the two rungs around
-    it, in one call of the safeguarded Newton iteration in ``u = log r``
-    that stops on a tolerance, with the rung-pair rules of :func:`_ladder`.
+    lowest of its chunk, raises its ``DomainError``; only a chunk that does
+    not strictly increase is sorted to find them.  Both endpoints of every
+    other level are solved between the roots of the two rungs around it, in
+    one call of the safeguarded Newton iteration in ``u = log r`` that stops
+    on a tolerance, with the rung-pair rules of :func:`_ladder`.
     """
     log_t = np.asarray(log_t, dtype=float).ravel()
     if not np.all(log_t < prof.log_sup):
@@ -269,7 +270,7 @@ def level_bounds(prof: SliceProfile, log_t: np.ndarray) -> tuple[np.ndarray, np.
 def _level_bounds_chunk(prof: SliceProfile,
                         log_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = log_t.size
-    levels = np.unique(log_t)
+    levels = log_t if np.all(log_t[1:] > log_t[:-1]) else np.unique(log_t)
     pick = np.linspace(0, levels.size - 1, min(levels.size, _CHUNK_RUNGS))
     rung_t = levels[pick.round().astype(int)]
     m = rung_t.size
@@ -471,9 +472,8 @@ def level_set_function(target: RadialTarget, fac: RadialFactorization) -> LevelS
     log_sigma = log_surface_area(target.dim)
 
     def log_eval(lt: np.ndarray) -> np.ndarray:
-        """Log of ell at the log levels ``lt``; -inf at and above the
-        supremum, an EmptyLevelError for a NaN level and a DomainError for
-        level -inf."""
+        """Log of ell at the log levels ``lt``: -inf at and above the supremum;
+        a NaN level is an EmptyLevelError, level -inf a DomainError."""
         if np.any(np.isnan(lt)):
             raise EmptyLevelError("a NaN level has no level set")
         out = np.full(lt.shape, -math.inf)

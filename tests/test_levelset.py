@@ -516,13 +516,15 @@ def _across(target, fac, top, bottom):
 
 class TestRungs:
     """``level_bounds`` solves a chunk's levels between rungs solved by
-    :func:`level_interval`, and gives its intervals to rel 1e-12."""
+    :func:`level_interval`, and gives its intervals to rel 1e-12, on
+    shuffled levels and on sorted ones, which skip the sort."""
 
     def _check(self, prof, lts):
-        lo, hi = level_bounds(prof, lts)
         want_lo, want_hi = np.array([level_interval(prof, lt) for lt in lts.tolist()]).T
-        np.testing.assert_allclose(lo, want_lo, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(hi, want_hi, rtol=1e-12, atol=0)
+        for order in (np.argsort(lts), np.arange(lts.size)):
+            lo, hi = level_bounds(prof, lts[order])
+            np.testing.assert_allclose(lo, want_lo[order], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(hi, want_hi[order], rtol=1e-12, atol=0)
         return lo, hi
 
     @pytest.mark.parametrize("sampler", ["pss", "uss"])
@@ -569,7 +571,8 @@ class TestRungs:
     ], ids=["volcano-uss", "barrier", "lower-underflow", "gaussian-pss"])
     def test_order_of_a_chunk_moves_no_bit(self, target, fac, top, bottom):
         # one chunk, some levels repeated: sorted, descending and shuffled
-        # copies pick the same rungs, so every radius is the same float
+        # copies and the np.unique copy, which skips the sort, pick the same
+        # rungs, so every radius is the same float
         prof, lts = _across(target, fac, top, bottom)
         lts = np.concatenate((lts[:levelset._CHUNK - 100], lts[:100]))
         increasing = np.sort(lts)
