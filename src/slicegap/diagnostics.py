@@ -53,6 +53,8 @@ def autocorr(values: np.ndarray, max_lag: int) -> np.ndarray:
         raise InsufficientDataError(f"trace of length {n} is too short (need >= {_MIN_LEN})")
     check_number("max_lag", max_lag, f"an integer in [0, {n - 1}]",
                  lambda v: 0 <= v < n, integer=True)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("trace must be finite")
     xc = x - x.mean()
     var = float(np.dot(xc, xc)) / n
     if var <= 0.0 or not math.isfinite(var):

@@ -27,8 +27,11 @@ at n cells costs O(n) work per operator application and O(n k) memory
 and work per Lanczos step k.
 
 Every value of ``ell`` costs two root solves, so a certificate evaluates
-each level once.  ``build_tgrid`` evaluates one mass window per doubling
-of its depth and compares the window with its own upper half.
+each level once.  ``build_tgrid`` evaluates one 4096-point mass window
+per doubling of its depth and compares the window with its own upper
+half; ``ell`` does not increase, so the log of the level density
+``ell(e^s) e^s`` rises by at most 1 per unit of s and needs no finer
+window to locate its mass.
 ``certify_gap`` builds the 2n grid, takes every other boundary of it as
 the n grid, and assembles both kernels from one evaluation of ``ell`` on
 the 2n grid's refinement, whose every other point refines the n grid.
@@ -84,6 +87,8 @@ class TGrid:
         b = np.asarray(self.boundaries, dtype=float)
         if b.ndim != 1 or b.size < 2 or np.any(np.diff(b) <= 0):
             raise DomainError("grid boundaries must be strictly increasing, size >= 2")
+        if not np.all(np.isfinite(b)):
+            raise DomainError("grid boundaries must be finite")
         object.__setattr__(self, "boundaries", b)
 
     @property
@@ -92,13 +97,15 @@ class TGrid:
 
 
 def _mass_window(ell: LevelSetFunction, s_sup: float, depth: float):
-    """``ell(e^s) e^s`` on 32768 points of ``[s_sup - depth, s_sup]``.
+    """``ell(e^s) e^s`` on 4096 points of ``[s_sup - depth, s_sup]``.
 
+    ``ell`` is non-increasing, so the log of the values rises by at most 1
+    per unit of s and no finer grid is needed to find where the mass lies.
     Returns the grid and the cumulative trapezoid sums ``cum`` of the
     values divided by their maximum: ``cum[j]`` is proportional to the
     mass below ``grid[j + 1]``.
     """
-    grid = np.linspace(s_sup - depth, s_sup, 1 << 15)
+    grid = np.linspace(s_sup - depth, s_sup, 1 << 12)
     lm = ell.log(grid) + grid
     finite = np.isfinite(lm)
     vals = np.zeros(grid.shape)
@@ -111,13 +118,15 @@ def build_tgrid(ell: LevelSetFunction, n: int = 2048,
                 mass_tol: float = 1e-8) -> TGrid:
     """Log-spaced grid from a mass-truncated lower level up to the support sup.
 
-    One window below the supremum is evaluated per doubling of its depth,
-    from 128 up to 131072, until the window's lower half holds less than
-    1e-12 of its stationary mass.  The lower boundary is then the highest
-    point of that window with at most ``mass_tol`` of the mass below it,
-    read off the window's cumulative trapezoid sums, so the reported
-    truncation mass never exceeds ``mass_tol``, which must lie in (0, 1); ``n``
-    must be a positive integer.
+    One 4096-point window below the supremum is evaluated per doubling of
+    its depth, from 128 up to 131072, until the window's lower half holds
+    less than 1e-12 of its stationary mass.  The level density
+    ``ell(e^s) e^s`` has a log that rises by at most 1 per unit of s, so a
+    window step of depth/4095 resolves its tail.  The lower boundary is
+    then the highest point of that window with at most ``mass_tol`` of the
+    mass below it, read off the window's cumulative trapezoid sums, so the
+    reported truncation mass never exceeds ``mass_tol``, which must lie in
+    (0, 1); ``n`` must be a positive integer.
     """
     check_number("grid size", n, "a positive integer", lambda v: v >= 1, integer=True)
     check_number("mass_tol", mass_tol, "a number in (0, 1)", lambda v: 0 < v < 1)

@@ -92,7 +92,7 @@ def _open_uniforms(rng: np.random.Generator, size) -> np.ndarray:
 
 def _open_unit(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
+    if not np.all((0.0 < u) & (u < 1.0)):
         raise DomainError("u must lie strictly inside (0, 1)")
     return u
 

@@ -118,7 +118,7 @@ def log_h(target: RadialTarget, fac: RadialFactorization, r):
     Works on scalars and arrays; requires ``0 < r < kappa``.
     """
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0) or np.any(r_arr >= target.kappa):
+    if not np.all((0.0 < r_arr) & (r_arr < target.kappa)):
         raise DomainError("r must lie strictly inside (0, kappa)")
     out = fac.alpha * np.log(r_arr) - target.phi(r_arr)
     if np.isscalar(r) or r_arr.ndim == 0:

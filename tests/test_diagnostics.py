@@ -42,6 +42,16 @@ class TestAutocorr:
         with pytest.raises(ZeroVarianceError):
             autocorr(np.full(100, 3.0), 5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_trace(self, bad):
+        # rejected before the mean is taken, so an inf value does not warn
+        x = np.arange(100.0)
+        x[17] = bad
+        with pytest.raises(DomainError, match="finite"):
+            autocorr(x, 5)
+        with pytest.raises(DomainError, match="finite"):
+            iat(x)
+
     def test_short_trace(self):
         with pytest.raises(InsufficientDataError):
             autocorr(np.arange(5.0), 2)

@@ -30,6 +30,7 @@ from slicegap.targets import (
     RadialFactorization,
     RadialTarget,
     exponential,
+    gaussian,
     radial_weighted_exponential,
     surface_area,
     volcano,
@@ -106,6 +107,9 @@ class TestTGrid:
             TGrid(boundaries=np.array([0.0]))
         with pytest.raises(DomainError):
             TGrid(boundaries=np.array([0.0, -1.0]))
+        for b in ([0.0, math.nan, 1.0], [-math.inf, 0.0], [0.0, math.inf]):
+            with pytest.raises(DomainError, match="finite"):
+                TGrid(boundaries=np.array(b))
 
     def test_build_truncation_mass(self):
         ell = level_set_function(exponential(5), PSS(5))
@@ -138,7 +142,29 @@ class TestTGrid:
         ell = level_set_function(exponential(5), PSS(5))
         counted, sizes = counting(ell)
         build_tgrid(counted, 64, mass_tol=mass_tol)
-        assert sizes == [1 << 15] * windows
+        assert sizes == [1 << 12] * windows
+
+    @pytest.mark.parametrize("mass_tol", [1e-8, 1e-10])
+    @pytest.mark.parametrize("target, fac", [
+        (exponential(5), PSS(5)), (gaussian(3), PSS(3)), (volcano(10, 2.0), PSS(10)),
+        (exponential(5), USS()), (gaussian(4), USS()), (volcano(3, 2.0), USS()),
+        (exponential(30), USS()), (exponential(80), USS()),
+    ], ids=["exp5-pss", "gauss3-pss", "volcano10-pss", "exp5-uss", "gauss4-uss",
+            "volcano3-uss", "exp30-uss", "exp80-uss"])
+    def test_truncation_against_fine_quadrature(self, target, fac, mass_tol):
+        # mass below the lower boundary by a 2^17-point trapezoid rule over
+        # twice the last window: at most mass_tol, and not needlessly deep
+        ell = level_set_function(target, fac)
+        counted, sizes = counting(ell)
+        grid = build_tgrid(counted, 64, mass_tol=mass_tol)
+        depth = 128.0 * 2 ** (len(sizes) - 1)
+        s_sup, s_lo = ell.log_support_sup, grid.boundaries[0]
+        s = np.linspace(s_sup - 2.0 * depth, s_sup, 1 << 17)
+        lm = ell.log(s) + s
+        vals = np.exp(lm - np.max(lm))
+        cum = np.concatenate(([0.0], np.cumsum(vals[1:] + vals[:-1])))
+        below = np.interp(s_lo, s, cum) / cum[-1]
+        assert 0.5 * mass_tol <= below <= mass_tol
 
     @pytest.mark.parametrize("mass_tol", [0.0, -1.0, 1.0, 1.5, math.nan, True])
     def test_mass_tol_outside_unit_interval_rejected(self, mass_tol):

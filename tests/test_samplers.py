@@ -51,7 +51,7 @@ class TestTUpdate:
         assert t_update(-1.0, 1.0 - 1e-12) < -1.0
 
     def test_rejects_bad_uniforms(self):
-        for u in (0.0, 1.0, -0.3, 2.0):
+        for u in (0.0, 1.0, -0.3, 2.0, math.nan):
             with pytest.raises(DomainError):
                 t_update(0.0, u)
 
@@ -124,7 +124,7 @@ class TestXUpdateRadius:
         # level interval [0, 2]: u = 0 gave r = 0, outside the support, and
         # u = 1.5 gave 2.289, beyond r_hi
         prof = slice_profile(exponential(3), USS())
-        for u in (0.0, 1.5, np.array([0.5, 1.0])):
+        for u in (0.0, 1.5, np.array([0.5, 1.0]), math.nan, np.array([0.5, math.nan])):
             with pytest.raises(DomainError, match="strictly inside"):
                 x_update_radius(prof, -2.0, u)
 

@@ -79,6 +79,9 @@ class TestLogH:
             log_h(target, fac, 0.0)
         with pytest.raises(DomainError):
             log_h(target, fac, -1.0)
+        for r in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(DomainError, match="strictly inside"):
+                log_h(target, fac, r)
         bounded = RadialTarget(phi=lambda r: -np.log(1.0 - r), kappa=1.0, dim=2)
         with pytest.raises(DomainError):
             log_h(bounded, fac, 1.0)
