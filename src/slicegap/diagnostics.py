@@ -55,10 +55,13 @@ def autocorr(values: np.ndarray, max_lag: int) -> np.ndarray:
                  lambda v: 0 <= v < n, integer=True)
     if not np.all(np.isfinite(x)):
         raise DomainError("trace must be finite")
-    xc = x - x.mean()
-    var = float(np.dot(xc, xc)) / n
-    if var <= 0.0 or not math.isfinite(var):
+    lo, hi = float(x.min()), float(x.max())
+    if lo == hi:
         raise ZeroVarianceError("trace has zero variance")
+    # A power of two brings the largest |x| into [1/2, 1): exact, so rho is
+    # unchanged, and neither the mean nor the squares can overflow.
+    x = np.ldexp(x, -math.frexp(max(-lo, hi))[1])
+    xc = x - x.mean()
     m = 1 << int(np.ceil(np.log2(2 * n)))
     f = np.fft.rfft(xc, m)
     gamma = np.fft.irfft(f * np.conj(f), m)[: max_lag + 1] / n

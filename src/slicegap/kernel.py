@@ -35,6 +35,7 @@ window to locate its mass.
 ``certify_gap`` builds the 2n grid, takes every other boundary of it as
 the n grid, and assembles both kernels from one evaluation of ``ell`` on
 the 2n grid's refinement, whose every other point refines the n grid.
+A kernel's cell sums are the row sums of one ``(n, refine)`` array.
 """
 
 from __future__ import annotations
@@ -204,38 +205,44 @@ def _refinement(b: np.ndarray, refine: int) -> np.ndarray:
 
 def _assemble(grid: TGrid, fine: np.ndarray, lv_log: np.ndarray) -> DiscreteKernel:
     """The kernel on ``grid`` from ``log ell`` at the refinement points
-    ``fine``, an equal number per cell, which include the boundaries."""
+    ``fine``, an equal number per cell, which include the boundaries.
+
+    A cell's sums run over its ``refine`` subintervals, one row of an
+    ``(n, refine)`` array.  Cell 0 reaches down to level 0: the interval
+    ``(0, tau_0)`` below the grid carries no Stieltjes mass, so G is its
+    total there and its terms are added to cell 0 in closed form.
+    """
     b = grid.boundaries
     n = grid.n
     refine = (fine.size - 1) // n
     top = np.max(lv_log[np.isfinite(lv_log)])
     lv = np.where(np.isfinite(lv_log), np.exp(lv_log - top), 0.0)
-    if np.any(np.diff(lv) > 1e-12 * lv.max()):
+    drop = lv[:-1] - lv[1:]             # d(-ell) per subinterval
+    # the largest value of lv is exp(top - top) = 1
+    if np.any(drop < -1e-12):
         raise InvalidLevelSetError("level-set function increases on the refinement grid")
 
     tau = np.exp(fine - b[-1])          # scaled levels, top boundary = 1
-    # prepend the interval (0, tau_0) carrying no Stieltjes mass
-    tau_full = np.concatenate([[0.0], tau])
-    lv_full = np.concatenate([lv[:1], lv])
+    mu = np.sqrt(tau[:-1] * tau[1:])    # geometric midpoints
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = np.maximum(drop, 0.0) / mu
+    rate[mu == 0.0] = 0.0
+    above = np.cumsum(rate[::-1])[::-1]  # G at each subinterval's lower end
+    g_mid = 0.5 * rate                   # G at subinterval midpoints
+    g_mid[:-1] += above[1:]
 
-    delta = np.clip(lv_full[:-1] - lv_full[1:], 0.0, None)  # d(-ell) per subinterval
-    mu = np.sqrt(tau_full[:-1] * tau_full[1:])              # geometric midpoints
-    mu[0] = tau_full[1]                                     # unused (delta[0] = 0)
-    rate = np.where(mu > 0.0, delta / np.where(mu > 0.0, mu, 1.0), 0.0)
-    tail = np.concatenate([np.cumsum(rate[::-1])[::-1][1:], [0.0]])
-    g_mid = tail + 0.5 * rate                               # G at subinterval midpoints
+    lengths = np.diff(tau)
+    mids = 0.5 * (tau[:-1] + tau[1:])
+    a_cell = np.exp(b[:-1] - b[-1])      # lower scaled level of each cell,
+    a_cell[0] = 0.0                      # and cell 0 reaches level 0
 
-    lengths = np.diff(tau_full)
-    mids = 0.5 * (tau_full[:-1] + tau_full[1:])
-
-    # cell index of each subinterval; the prepended one belongs to cell 0
-    cell_of = np.concatenate([[0], np.repeat(np.arange(n), refine)])
-    a_cell = np.concatenate([[0.0], np.exp(b[1:-1] - b[-1])])  # lower t of each cell
-
-    A = np.bincount(cell_of, weights=g_mid * lengths, minlength=n)
-    B = np.bincount(cell_of, weights=g_mid * (mids - a_cell[cell_of]) * lengths,
-                    minlength=n)
-    len_cell = np.bincount(cell_of, weights=lengths, minlength=n)
+    gl = (g_mid * lengths).reshape(n, refine)
+    A = gl.sum(1)
+    B = (gl * (mids.reshape(n, refine) - a_cell[:, None])).sum(1)
+    len_cell = lengths.reshape(n, refine).sum(1)
+    A[0] += above[0] * tau[0]
+    B[0] += above[0] * (0.5 * tau[0]) * tau[0]
+    len_cell[0] += tau[0]
 
     w = _flux_matvec(len_cell, A, 2.0 * B, np.ones(n))
     if np.any(w <= 0.0):

@@ -17,13 +17,15 @@ and ``_outward``, toward a finite cutoff or by doubling.  They run on one
 point at a time, in ``mode_radius``, ``level_interval`` and
 ``canonical_potential``.  The profile mode and the canonical comparator's
 potential are solved by one bisection, ``_bisect``; level endpoints by a
-safeguarded Newton iteration in ``log r``.
+safeguarded Newton iteration in ``log r``, which on an array of levels
+runs its safeguards only on the steps it refuses.
 
 Many levels of one profile are bracketed by rungs: levels solved by
 ``level_interval``.  ``r_lo`` rises with the level and ``r_hi`` falls, so
 the two rungs around a level bracket both of its endpoints, and Newton
 starts between them.  ``level_bounds`` picks the rungs of an array of
-levels among the levels themselves (without a sort when they increase),
+levels among the levels themselves (without a sort or a search when they
+increase: each level's rung is then the next one picked at or after it),
 gathers the brackets from one flat array of rung roots and solves both
 endpoints of the levels between them in one Newton call; a chain's
 ``_ladder`` keeps a ladder of levels 1/16 apart below the supremum, each
@@ -270,15 +272,21 @@ def level_bounds(prof: SliceProfile, log_t: np.ndarray) -> tuple[np.ndarray, np.
 def _level_bounds_chunk(prof: SliceProfile,
                         log_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = log_t.size
-    levels = log_t if np.all(log_t[1:] > log_t[:-1]) else np.unique(log_t)
-    pick = np.linspace(0, levels.size - 1, min(levels.size, _CHUNK_RUNGS))
-    rung_t = levels[pick.round().astype(int)]
+    increasing = np.all(log_t[1:] > log_t[:-1])
+    levels = log_t if increasing else np.unique(log_t)
+    pick = np.linspace(0, levels.size - 1, min(levels.size, _CHUNK_RUNGS)).round().astype(int)
+    rung_t = levels[pick]
     m = rung_t.size
     # Flat rung roots: every r_lo, then every r_hi, so each bracket is a 1-D gather.
     rungs = np.array([level_interval(prof, t) for t in rung_t.tolist()]).T.ravel()
     # Each level takes the interval of the rung at or above it: its own, or
-    # the r_lo = 0 and r_hi = kappa that hold below a rung with them.
-    j = np.searchsorted(rung_t, log_t)
+    # the r_lo = 0 and r_hi = kappa that hold below a rung with them.  In an
+    # increasing chunk rung k is level pick[k], so the levels after
+    # pick[k - 1] up to pick[k] take it.
+    if increasing:
+        j = np.repeat(np.arange(m), np.diff(pick, prepend=-1))
+    else:
+        j = np.searchsorted(rung_t, log_t)
     r = rungs[np.concatenate((j, j + m))]
     mid = np.flatnonzero(rung_t[j] != log_t)
     j, lt = j[mid], log_t[mid]
@@ -312,11 +320,14 @@ def _newton_log_radius(target: RadialTarget, alpha: float, log_t: np.ndarray,
     started at ``u`` inside it.
 
     ``g(u_below) <= 0 < g(u_above)``; the ends may be in either order, so
-    one call takes both endpoints of many levels.  A Newton step with
-    ``g'(u) = alpha - r phi'(r)`` is taken when it stays inside the bracket
-    and is shorter than half the step before last, otherwise a bisection
-    step (Press et al., Numerical Recipes, rtsafe).  The halving rule keeps
-    near-double roots next to the profile mode from oscillating.  An element
+    one call takes both endpoints of many levels.  Every element takes the
+    Newton step with ``g'(u) = alpha - r phi'(r)``; rtsafe's bookkeeping
+    (Press et al., Numerical Recipes, rtsafe) runs only where that step
+    leaves the bracket, comes back NaN or is not shorter than half the step
+    before last.  There the bracket narrows to the last two points evaluated
+    and the element bisects it.  The halving rule keeps near-double roots
+    next to the profile mode from oscillating, and the two points end an
+    oscillation at the root's float spacing in one bisection.  An element
     stops once its step, which after a bisection is half its bracket, is
     within ``_U_TOL * max(|u|, 1)``; it then sits on a zero-width bracket,
     where every step leaves it in place, until a quarter of the elements
@@ -327,61 +338,91 @@ def _newton_log_radius(target: RadialTarget, alpha: float, log_t: np.ndarray,
     if not log_t.size:
         return out
     idx = np.arange(log_t.size)
-    lt, xb, xa = log_t, u_below, u_above
-    dx = dxold = np.abs(xa - xb)
+    lt, lo, hi = log_t, np.minimum(u_below, u_above), np.maximum(u_below, u_above)
+    # g rises with u where u_below < u_above: the lower endpoint of a level
+    rise = u_below < u_above
+    dx = dxold = hi - lo
+    # the point evaluated before u and its g; at first the end with g <= 0
+    u, v, gv = u.copy(), u_below, np.zeros(lt.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_EXPANSIONS):
+            # in place where it can be, so that a step makes few new arrays
             r = np.exp(u)
-            g = alpha * u - target.phi(r) - lt
-            dg = alpha - r * target.dphi(r)
-            up = g > 0.0
-            xa = np.where(up, u, xa)
-            xb = np.where(up, xb, u)
-            step = g / dg
+            g = alpha * u
+            g -= target.phi(r)
+            g -= lt
+            step = np.multiply(r, target.dphi(r), out=r)
+            np.subtract(alpha, step, out=step)
+            np.divide(g, step, out=step)
             new = u - step
-            astep = np.abs(step)
-            newton = (astep < 0.5 * dxold) & ((new - xa) * (new - xb) <= 0.0)
-            dxold = dx
-            # the Newton step, then bisection where it was refused
-            u, dx, bis = new, astep, np.flatnonzero(~newton)
-            u[bis] = 0.5 * (xa[bis] + xb[bis])
-            dx[bis] = 0.5 * np.abs(xa[bis] - xb[bis])
-            done = dx <= _U_TOL * np.maximum(np.abs(u), 1.0)
-            # A finished element stays at its u on a zero-width bracket, so
-            # the arrays shrink only once a quarter of them has finished.
-            np.copyto(xa, u, where=done)
-            np.copyto(xb, u, where=done)
-            if 4 * np.count_nonzero(done) >= done.size:
-                out[idx[done]] = u[done]
-                keep = np.flatnonzero(~done)
-                if keep.size == 0:
-                    break
-                idx, u, lt, xa, xb, dx, dxold = (
-                    v.take(keep) for v in (idx, u, lt, xa, xb, dx, dxold))
+            astep = np.abs(step, out=step)
+            ok = astep < 0.5 * dxold
+            ok &= lo <= new
+            ok &= new <= hi
+            bis = np.flatnonzero(~ok)
+            if bis.size:
+                a, b = _narrow(lo[bis], hi[bis], rise[idx[bis]],
+                               v[bis], gv[bis], u[bis], g[bis])
+                lo[bis], hi[bis] = a, b
+                new[bis] = 0.5 * (a + b)
+                astep[bis] = 0.5 * (b - a)
+            v, gv, u, dx, dxold = u, g, new, astep, dx
+            stop = dx <= _U_TOL * np.maximum(np.abs(u), 1.0)
+            done = np.flatnonzero(stop)
+            # A finished element stays at its u on a zero-width bracket, its
+            # last point moved there too, so the arrays shrink only once a
+            # quarter of them has finished.
+            if 4 * done.size < u.size:
+                lo[done] = hi[done] = v[done] = u[done]
+                continue
+            out[idx[done]] = u[done]
+            if done.size == u.size:
+                break
+            keep = np.flatnonzero(~stop)
+            idx, u, lt, lo, hi, dx, dxold, v, gv = (
+                w.take(keep) for w in (idx, u, lt, lo, hi, dx, dxold, v, gv))
         else:
             raise NoRootError("safeguarded Newton did not converge on the level interval")
     return np.exp(out)
 
 
+def _narrow(lo: np.ndarray, hi: np.ndarray, rise: np.ndarray, v: np.ndarray,
+            gv: np.ndarray, u: np.ndarray, g: np.ndarray):
+    """rtsafe's bracket update on the refused steps of :func:`_newton_log_radius`:
+    ``[lo, hi]`` narrows to ``v`` and then to ``u``, points inside it with
+    ``g`` values ``gv`` and ``g``; a point is above the root where ``g > 0``
+    matches ``rise``, the direction of ``g``.  Returns the new ends."""
+    for p, gp in ((v, gv), (u, g)):
+        above = (gp > 0.0) == rise
+        lo, hi = np.where(above, lo, p), np.where(above, p, hi)
+    return lo, hi
+
+
 def _newton_scalar(phi, dphi, alpha: float, log_t: float,
                    u_below: float, u_above: float, u: float) -> float:
     """:func:`_newton_log_radius` on one level, started at ``u`` inside the
-    bracket ``[u_below, u_above]``; a zero ``g'`` takes the bisection step,
-    as a NaN one does."""
+    bracket ``[u_below, u_above]``, with rtsafe's bracket narrowed at every
+    step; a zero ``g'`` takes the bisection step, as a NaN one does."""
     xb, xa = u_below, u_above
     dx = dxold = abs(xa - xb)
+    tol = _U_TOL
     for _ in range(_MAX_EXPANSIONS):
         r = math.exp(u)
         g = alpha * u - phi(r) - log_t
+        if g > 0.0:
+            xa = u
+        else:
+            xb = u
         dg = alpha - r * dphi(r)
-        xa, xb = (u, xb) if g > 0.0 else (xa, u)
         step = g / dg if dg else math.inf
         new = u - step
-        if abs(step) < 0.5 * dxold and (new - xa) * (new - xb) <= 0.0:
-            dxold, dx, u = dx, abs(step), new
+        a = abs(step)
+        if a < 0.5 * dxold and (new - xa) * (new - xb) <= 0.0:
+            u = new
         else:
-            dxold, dx, u = dx, 0.5 * abs(xa - xb), 0.5 * (xa + xb)
-        if dx <= _U_TOL * (u if u > 1.0 else -u if u < -1.0 else 1.0):
+            u, a = 0.5 * (xa + xb), 0.5 * abs(xa - xb)
+        dxold, dx = dx, a
+        if dx <= tol * (u if u > 1.0 else -u if u < -1.0 else 1.0):
             return math.exp(u)
     raise NoRootError("safeguarded Newton did not converge on the level interval")
 

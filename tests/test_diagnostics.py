@@ -1,6 +1,7 @@
 """Tests for autocorrelation and IAT estimation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,36 @@ class TestAutocorr:
     def test_constant_trace(self):
         with pytest.raises(ZeroVarianceError):
             autocorr(np.full(100, 3.0), 5)
+
+    @pytest.mark.parametrize("value", [0.1, 1.7e308])
+    def test_constant_trace_of_inexact_mean(self, value):
+        # the mean of 100 copies of 0.1 is one ulp off it; 1.7e308 * 100
+        # overflows unless the trace is scaled first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroVarianceError):
+                autocorr(np.full(100, value), 5)
+
+    @pytest.mark.parametrize("pair", [(1e200, -1e200), (1.7e308, 1.6e308)])
+    def test_huge_finite_trace(self, pair):
+        # unscaled, the squares of the first trace overflow and so does the
+        # sum behind the mean of the second
+        x = np.tile(pair, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = autocorr(x, 3)
+            est = iat(x)
+        np.testing.assert_allclose(rho, [1.0, -0.99, 0.98, -0.97], rtol=1e-12, atol=0)
+        assert est.truncation_lag == 1
+
+    def test_power_of_two_scaling_moves_no_bit(self):
+        # autocorr scales the trace by a power of two itself, so any other
+        # power of two gives the same floats, deep into overflow and underflow
+        # of the unscaled squares
+        x = ar1(2000, 0.7, seed=5)
+        want = autocorr(x, 50)
+        for k in (-900, -3, 5, 900):
+            np.testing.assert_array_equal(autocorr(np.ldexp(x, k), 50), want)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_trace(self, bad):

@@ -224,7 +224,53 @@ class TestStationaryWeights:
         assert w[2] == 0.0
 
 
+def _assemble_by_bincount(grid, fine, lv_log):
+    """Reference for ``kernel._assemble``: the interval (0, tau_0) is
+    prepended to cell 0 as one more subinterval, with no Stieltjes mass,
+    and every cell sum is an ``np.bincount`` over a cell index.  Returns
+    ``(len_cell, A, diag, weights)``."""
+    b, n = grid.boundaries, grid.n
+    refine = (fine.size - 1) // n
+    top = np.max(lv_log[np.isfinite(lv_log)])
+    lv = np.where(np.isfinite(lv_log), np.exp(lv_log - top), 0.0)
+    tau = np.concatenate([[0.0], np.exp(fine - b[-1])])
+    lv = np.concatenate([lv[:1], lv])
+    delta = np.clip(lv[:-1] - lv[1:], 0.0, None)
+    mu = np.sqrt(tau[:-1] * tau[1:])
+    mu[0] = tau[1]
+    rate = np.where(mu > 0.0, delta / np.where(mu > 0.0, mu, 1.0), 0.0)
+    g_mid = np.concatenate([np.cumsum(rate[::-1])[::-1][1:], [0.0]]) + 0.5 * rate
+    lengths = np.diff(tau)
+    mids = 0.5 * (tau[:-1] + tau[1:])
+    cell_of = np.concatenate([[0], np.repeat(np.arange(n), refine)])
+    a_cell = np.concatenate([[0.0], np.exp(b[1:-1] - b[-1])])
+    A = np.bincount(cell_of, weights=g_mid * lengths, minlength=n)
+    B = np.bincount(cell_of, weights=g_mid * (mids - a_cell[cell_of]) * lengths, minlength=n)
+    len_cell = np.bincount(cell_of, weights=lengths, minlength=n)
+    w = kernelmod._flux_matvec(len_cell, A, 2.0 * B, np.ones(n))
+    total = w.sum()
+    return len_cell, A / total, 2.0 * B / total, w / total
+
+
 class TestDiscretizePt:
+    @pytest.mark.parametrize("refine", [16, 3])
+    @pytest.mark.parametrize("target, fac, n", [
+        (exponential(5), PSS(5), 300),
+        (volcano(4, 2.0), USS(), 128),
+    ], ids=["exponential-pss", "volcano-uss"])
+    def test_assemble_matches_bincount(self, target, fac, n, refine):
+        # cell sums by reshape, with (0, tau_0) added to cell 0 in closed
+        # form; the prepended interval is longer than cell 0 itself, so a
+        # cell 0 that stops at tau_0 is off by far more than rounding
+        ell = level_set_function(target, fac)
+        grid = build_tgrid(ell, n)
+        fine = kernelmod._refinement(grid.boundaries, refine)
+        lv_log = ell.log(fine)
+        dk = kernelmod._assemble(grid, fine, lv_log)
+        got = (dk.len_cell, dk.A, dk.diag, dk.weights)
+        for g, w in zip(got, _assemble_by_bincount(grid, fine, lv_log)):
+            np.testing.assert_allclose(g, w, rtol=1e-13, atol=0)
+
     def test_two_cell_hand_quadrature(self):
         # ell = 1 - t over cells (0, 1/2), (1/2, 1); closed forms from
         # F_ij = integral over the cells of log(1/max(t, u))

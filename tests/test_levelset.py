@@ -606,6 +606,25 @@ class TestRungs:
                  for i in some.tolist()]
         np.testing.assert_array_equal(batch[some], alone)
 
+    @pytest.mark.parametrize("top, bottom", [(3.0, 5.0), (1e-6, 1e-2), (1e-12, 1e-6)],
+                             ids=["across-the-origin", "near-the-mode", "next-to-the-mode"])
+    def test_refused_steps_bisect_and_converge(self, monkeypatch, top, bottom):
+        # volcano USS: g' vanishes at the mode r = 2 and flattens toward
+        # r = 0, whose level e^-4 the first levels straddle, so some Newton
+        # steps leave their bracket or do not halve; those elements narrow
+        # the bracket and bisect it, and still end at level_interval's roots
+        refused = []
+        narrow = levelset._narrow
+
+        def counted(lo, *rest):
+            refused.append(lo.size)
+            return narrow(lo, *rest)
+
+        monkeypatch.setattr(levelset, "_narrow", counted)
+        self._check(*_across(volcano(4, 2.0), USS(), top, bottom))
+        # two level_bounds calls, each with 208 refused elements or more
+        assert sum(refused) >= 400
+
     def test_one_level_is_one_scalar_solve(self, monkeypatch):
         base = exponential(5)
         calls = {"level_interval": 0, "array_phi": 0}
