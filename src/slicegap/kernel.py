@@ -27,11 +27,10 @@ at n cells costs O(n) work per operator application and O(n k) memory
 and work per Lanczos step k.
 
 Every value of ``ell`` costs two root solves, so a certificate evaluates
-each level once.  ``build_tgrid`` evaluates one 4096-point mass window
-per doubling of its depth and compares the window with its own upper
-half; ``ell`` does not increase, so the log of the level density
-``ell(e^s) e^s`` rises by at most 1 per unit of s and needs no finer
-window to locate its mass.
+each level once.  One search, ``_mass_windows``, locates the mass of the
+level law ``ell(e^s) e^s`` in one 4096-point window per doubling of its
+depth: ``build_tgrid`` truncates its grid there, and
+``samplers.PiTildeSampler`` lays its oracle grid over the first window.
 ``certify_gap`` builds the 2n grid, takes every other boundary of it as
 the n grid, and assembles both kernels from one evaluation of ``ell`` on
 the 2n grid's refinement, whose every other point refines the n grid.
@@ -97,55 +96,60 @@ class TGrid:
         return self.boundaries.size - 1
 
 
-def _mass_window(ell: LevelSetFunction, s_sup: float, depth: float):
-    """``ell(e^s) e^s`` on 4096 points of ``[s_sup - depth, s_sup]``.
+def _mass_windows(ell: LevelSetFunction):
+    """The 4096-point windows of s that hold the mass of the level law
+    ``ell(e^s) e^s``, as the grid and the cumulative trapezoid sums ``cum``
+    of the law over its maximum (``cum[j]`` is proportional to the mass
+    below ``grid[j + 1]``).
 
-    ``ell`` is non-increasing, so the log of the values rises by at most 1
-    per unit of s and no finer grid is needed to find where the mass lies.
-    Returns the grid and the cumulative trapezoid sums ``cum`` of the
-    values divided by their maximum: ``cum[j]`` is proportional to the
-    mass below ``grid[j + 1]``.
+    For depths 128, ..., 131072 a window is ``[s_sup - depth, s_sup]`` below
+    a finite support supremum ``s_sup``, else ``[-depth, depth]``.  It is
+    yielded once its lower half, or each outer quarter of ``[-depth,
+    depth]``, holds less than 1e-12 of its mass.  The log of the law rises
+    by at most 1 per unit of s, as ``ell`` does not increase, so a step of
+    depth/4095 resolves its tails.  Raises :class:`DomainError` after the
+    deepest window.
     """
-    grid = np.linspace(s_sup - depth, s_sup, 1 << 12)
-    lm = ell.log(grid) + grid
-    finite = np.isfinite(lm)
-    vals = np.zeros(grid.shape)
-    if np.any(finite):
-        vals[finite] = np.exp(lm[finite] - np.max(lm[finite]))
-    return grid, np.cumsum(vals[1:] + vals[:-1])
+    s_sup = ell.log_support_sup
+    bounded = math.isfinite(s_sup)
+    for depth in (2.0**j for j in range(7, 18)):
+        lo, hi = (s_sup - depth, s_sup) if bounded else (-depth, depth)
+        grid = np.linspace(lo, hi, 1 << 12)
+        lm = ell.log(grid) + grid
+        finite = np.isfinite(lm)
+        vals = np.zeros(grid.shape)
+        if np.any(finite):
+            vals[finite] = np.exp(lm[finite] - np.max(lm[finite]))
+        cum = np.cumsum(vals[1:] + vals[:-1])
+        q = grid.size // 2 if bounded else grid.size // 4  # a side's outer half
+        outer = cum[q - 1] if bounded else max(cum[q - 1], cum[-1] - cum[-q - 1])
+        if outer < 1e-12 * cum[-1]:
+            yield grid, cum
+    raise DomainError("stationary mass does not concentrate within a depth "
+                      "of 131072 in log level")
 
 
 def build_tgrid(ell: LevelSetFunction, n: int = 2048,
                 mass_tol: float = 1e-8) -> TGrid:
     """Log-spaced grid from a mass-truncated lower level up to the support sup.
 
-    One 4096-point window below the supremum is evaluated per doubling of
-    its depth, from 128 up to 131072, until the window's lower half holds
-    less than 1e-12 of its stationary mass.  The level density
-    ``ell(e^s) e^s`` has a log that rises by at most 1 per unit of s, so a
-    window step of depth/4095 resolves its tail.  The lower boundary is
-    then the highest point of that window with at most ``mass_tol`` of the
-    mass below it, read off the window's cumulative trapezoid sums, so the
-    reported truncation mass never exceeds ``mass_tol``, which must lie in
-    (0, 1); ``n`` must be a positive integer.
+    The lower boundary is the highest point of the first window of
+    ``_mass_windows`` with at most ``mass_tol`` (in (0, 1)) of its mass
+    below, or of the next window where one step holds more, so the
+    reported truncation mass never exceeds ``mass_tol``.  The supremum must
+    be finite; ``n`` must be a positive integer.
     """
     check_number("grid size", n, "a positive integer", lambda v: v >= 1, integer=True)
     check_number("mass_tol", mass_tol, "a number in (0, 1)", lambda v: 0 < v < 1)
     s_sup = ell.log_support_sup
     if not math.isfinite(s_sup):
         raise DomainError("grid construction requires a finite support supremum")
-
-    for depth in (2.0**j for j in range(7, 18)):  # 128, 256, ..., 131072
-        grid, cum = _mass_window(ell, s_sup, depth)
-        # the window holds the mass once its lower half adds under 1e-12
-        if cum[grid.size // 2 - 1] < 1e-12 * cum[-1]:
-            k = int(np.searchsorted(cum, mass_tol * cum[-1], side="right"))
-            if k > 0:
-                return TGrid(boundaries=np.linspace(grid[k], s_sup, n + 1),
-                             truncation_mass=float(cum[k - 1] / cum[-1]))
-            # a single window step holds more than mass_tol: widen
-    raise DomainError("stationary mass does not concentrate within "
-                      "mass_tol; cannot build grid")
+    for grid, cum in _mass_windows(ell):
+        k = int(np.searchsorted(cum, mass_tol * cum[-1], side="right"))
+        if k > 0:
+            return TGrid(boundaries=np.linspace(grid[k], s_sup, n + 1),
+                         truncation_mass=float(cum[k - 1] / cum[-1]))
+        # one window step holds more than mass_tol: read the next, deeper window
 
 
 def _flux_matvec(len_cell: np.ndarray, A: np.ndarray, diag: np.ndarray,
@@ -398,14 +402,15 @@ class DualityReport:
 
 
 def duality_gap_compare(ell_a: LevelSetFunction, ell_b: LevelSetFunction,
-                        n: int = 1024, mass_tol: float = 1e-8) -> DualityReport:
+                        n: int = 1024) -> DualityReport:
     """Compare two level-set functions and the gaps of their level chains.
 
     ``max_ell_abs_diff`` is taken over 50 evenly spaced interior points of
-    ``ell_a``'s grid of ``n >= 2`` cells, on which both gaps are computed.
+    ``ell_a``'s grid of ``n >= 2`` cells (``build_tgrid``'s default
+    truncation), on which both gaps are computed.
     """
     check_number("grid size", n, "an integer >= 2", lambda v: v >= 2, integer=True)
-    grid = build_tgrid(ell_a, n, mass_tol)
+    grid = build_tgrid(ell_a, n)
     probes = np.linspace(grid.boundaries[0], grid.boundaries[-1], 52)[1:-1]
     va = ell_a.eval(probes)
     vb = ell_b.eval(probes)

@@ -24,12 +24,12 @@ Many levels of one profile are bracketed by rungs: levels solved by
 ``level_interval``.  ``r_lo`` rises with the level and ``r_hi`` falls, so
 the two rungs around a level bracket both of its endpoints, and Newton
 starts between them.  ``level_bounds`` picks the rungs of an array of
-levels among the levels themselves (without a sort or a search when they
-increase: each level's rung is then the next one picked at or after it),
-gathers the brackets from one flat array of rung roots and solves both
-endpoints of the levels between them in one Newton call; a chain's
-``_ladder`` keeps a ladder of levels 1/16 apart below the supremum, each
-solved the first time the chain comes next to it.
+levels among the levels themselves (without a sort when they increase),
+finds each level's rung by one search among them, gathers the brackets
+from one flat array of rung roots and solves both endpoints of the other
+levels in one Newton call; a chain's ``_ladder`` keeps a ladder of levels
+1/16 apart below the supremum, each solved the first time the chain comes
+next to it.
 """
 
 from __future__ import annotations
@@ -272,21 +272,16 @@ def level_bounds(prof: SliceProfile, log_t: np.ndarray) -> tuple[np.ndarray, np.
 def _level_bounds_chunk(prof: SliceProfile,
                         log_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = log_t.size
-    increasing = np.all(log_t[1:] > log_t[:-1])
-    levels = log_t if increasing else np.unique(log_t)
-    pick = np.linspace(0, levels.size - 1, min(levels.size, _CHUNK_RUNGS)).round().astype(int)
-    rung_t = levels[pick]
+    # a strictly increasing chunk is its own sorted set of distinct levels
+    levels = log_t if np.all(log_t[1:] > log_t[:-1]) else np.unique(log_t)
+    rung_t = levels[np.linspace(0, levels.size - 1,
+                                min(levels.size, _CHUNK_RUNGS)).round().astype(int)]
     m = rung_t.size
     # Flat rung roots: every r_lo, then every r_hi, so each bracket is a 1-D gather.
     rungs = np.array([level_interval(prof, t) for t in rung_t.tolist()]).T.ravel()
     # Each level takes the interval of the rung at or above it: its own, or
-    # the r_lo = 0 and r_hi = kappa that hold below a rung with them.  In an
-    # increasing chunk rung k is level pick[k], so the levels after
-    # pick[k - 1] up to pick[k] take it.
-    if increasing:
-        j = np.repeat(np.arange(m), np.diff(pick, prepend=-1))
-    else:
-        j = np.searchsorted(rung_t, log_t)
+    # the r_lo = 0 and r_hi = kappa that hold below a rung with them.
+    j = np.searchsorted(rung_t, log_t)
     r = rungs[np.concatenate((j, j + m))]
     mid = np.flatnonzero(rung_t[j] != log_t)
     j, lt = j[mid], log_t[mid]

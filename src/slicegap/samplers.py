@@ -23,6 +23,7 @@ so many draws from one level cost one root solve.  The fraction of steps
 from one level that land below it is counted in blocks of steps from the
 same uniforms, so beyond the uniforms its memory does not grow with the
 number of steps.  The two stationary oracles share one grid inverse CDF,
+the level oracle finds its mass by the certificate grid's window search,
 and every redraw loop is capped.
 """
 
@@ -33,11 +34,11 @@ import math
 import numpy as np
 
 from .errors import DomainError, check_number
+from .kernel import _mass_windows
 from .levelset import (
     LevelSetFunction,
     SliceProfile,
     _ladder,
-    _outward,
     level_bounds,
     level_interval,
     slice_profile,
@@ -59,10 +60,10 @@ __all__ = [
 # Draws a redraw loop makes before it gives up on its random stream.
 _MAX_REDRAWS = 64
 # Oracle grids: cells, the radial grid's level below its profile's log sup,
-# and the drop in log density at which the level grid ends.
+# and the level law's mass left beyond each open end of the level grid.
 _ORACLE_CELLS = 2**14
 _RADIAL_TAIL_DEPTH = 80.0
-_LEVEL_TAIL_DEPTH = 34.0
+_LEVEL_TAIL_MASS = 1e-15
 # Steps taken at once when one-step transitions are counted, not kept.
 _STEP_BLOCK = 1 << 16
 
@@ -312,33 +313,20 @@ class PiTildeSampler(_GridInverseCdf):
     """I.i.d. log levels from the stationary law of the auxiliary chain.
 
     The stationary density in ``s = log t`` is proportional to
-    ``ell(e^s) e^s``; sampling is grid inverse CDF on an adaptively
-    bracketed s-range.  Each tail is found by the bracket search
-    ``levelset._outward``: steps of 1, 2, 4, ... away from a reference
-    level, at most 10^6.
+    ``ell(e^s) e^s``.  Its mass lies in the first window of
+    ``kernel._mass_windows``, the search that ``build_tgrid`` truncates in.
+    The window is cut where ``_LEVEL_TAIL_MASS`` of its mass lies below,
+    and above too when the support supremum is infinite; a finite
+    supremum is the upper end.  Sampling is grid inverse CDF with 2^14
+    cells over that span.  Raises :class:`DomainError` where no window
+    holds the mass.
     """
 
     def __init__(self, ell: LevelSetFunction):
         s_sup = ell.log_support_sup
-        s_ref = (s_sup - 1.0) if math.isfinite(s_sup) else 0.0
-
-        def log_m(s):
-            return ell.log(s) + s
-
-        m_ref = log_m(s_ref)
-        if not math.isfinite(m_ref):
-            raise DomainError("reference level has no stationary mass")
-
-        def tail_end(sign: float, side: str) -> float:
-            for step in _outward(0.0, math.inf):
-                if step > 1e6:
-                    break
-                if log_m(s_ref + sign * step) <= m_ref - _LEVEL_TAIL_DEPTH:
-                    return s_ref + sign * step
-            raise DomainError(f"could not bracket the {side} stationary tail")
-
-        # Expand downward (and upward when the support is unbounded).
-        s_lo = tail_end(-1.0, "lower")
-        s_hi = s_sup if math.isfinite(s_sup) else tail_end(1.0, "upper")
+        grid, cum = next(_mass_windows(ell))
+        tail = _LEVEL_TAIL_MASS * cum[-1]
+        s_lo = grid[np.searchsorted(cum, tail, side="right")]
+        s_hi = s_sup if math.isfinite(s_sup) else grid[np.searchsorted(cum, cum[-1] - tail) + 1]
         grid = np.linspace(s_lo, s_hi, _ORACLE_CELLS + 1)
-        super().__init__(grid, log_m(grid))
+        super().__init__(grid, ell.log(grid) + grid)

@@ -18,6 +18,7 @@ from slicegap.diagnostics import iat
 from slicegap.harness import (
     ExperimentConfig,
     _adjointness_checks,
+    _equivalence_checks,
     _kernel_mc_check,
     _ks_checks,
     iat_sweep,
@@ -26,7 +27,6 @@ from slicegap.kernel import (
     build_tgrid,
     certify_gap,
     discretize_pt,
-    duality_gap_compare,
     spectral_gap,
 )
 from slicegap.levelset import (
@@ -37,12 +37,9 @@ from slicegap.levelset import (
 )
 from slicegap.targets import (
     RadialFactorization,
-    RadialTarget,
     exponential,
     gaussian,
     make_builtin,
-    radial_weighted_exponential,
-    surface_area,
     volcano,
 )
 
@@ -98,19 +95,14 @@ def test_criterion_2_dimension_independence():
 
 
 def test_criterion_3_ell_equivalence_and_duality():
-    """PSS on the radial-weighted exponential vs USS on its 1-D counterpart."""
-    worst_ell, worst_gap_diff, min_gap = 0.0, 0.0, math.inf
-    for d in range(2, 11):
-        ell_pss = level_set_function(radial_weighted_exponential(d), PSS(d))
-        c = 2.0 / surface_area(d)
-        oned = RadialTarget(phi=lambda r, c=c: c * r, dphi=lambda r, c=c: c,
-                            dim=1, tag="exp1d")
-        ell_uss = level_set_function(oned, USS())
-        rep = duality_gap_compare(ell_pss, ell_uss, n=1024)
-        worst_ell = max(worst_ell, rep.max_ell_abs_diff)
-        worst_gap_diff = max(worst_gap_diff, rep.gap_diff)
-        min_gap = min(min_gap, rep.gap_a, rep.gap_b)
-    ok = worst_ell <= 1e-10 and worst_gap_diff <= 1e-9 and min_gap >= 0.48
+    """PSS on the radial-weighted exponential vs USS on its 1-D counterpart,
+    as verify checks them, d = 2, ..., 10."""
+    rows = _equivalence_checks()
+    worst_ell = max(r["max_ell_abs_diff"] for r in rows)
+    worst_gap_diff = max(r["gap_diff"] for r in rows)
+    min_gap = min(min(r["gap_pss"], r["gap_uss_1d"]) for r in rows)
+    ok = (len(rows) == 9 and worst_ell <= 1e-10 and worst_gap_diff <= 1e-9
+          and min_gap >= 0.48)
     _verdict(3, ok, f"max |ell difference| {worst_ell:.2e} (<= 1e-10), "
                     f"max gap difference {worst_gap_diff:.2e} (<= 1e-9), "
                     f"min gap {min_gap:.4f} (>= 0.48)")

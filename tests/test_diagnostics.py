@@ -33,6 +33,10 @@ class TestAutocorr:
         assert abs(rho[1] + 1.0) <= 2.0 / n
         assert rho[0] == 1.0
 
+    def test_two_dimensional_trace_rejected(self):
+        with pytest.raises(DomainError, match="one-dimensional"):
+            autocorr(np.ones((2, 500)), 1)
+
     def test_white_noise_band(self):
         rng = np.random.default_rng(314)
         x = rng.normal(size=100_000)

@@ -328,6 +328,21 @@ class TestVerifyGuards:
         with pytest.raises(InvalidLevelSetError):
             discretize_pt(ell, TGrid(boundaries=np.linspace(-4.0, -1e-6, 33)))
 
+    def test_one_failed_check_fails_verify(self, monkeypatch, capsys):
+        # the four check families stubbed, one check of one failing: verify
+        # counts it and the verify command exits 1
+        families = {"_ks_checks": lambda config, dims, seed: [{"check": "ks", "status": "pass"}],
+                    "_kernel_mc_check": lambda seed: [{"check": "kernel", "status": "pass"}],
+                    "_adjointness_checks": lambda: [{"check": "adjoint", "status": "fail"}],
+                    "_equivalence_checks": lambda: [{"check": "ell", "status": "pass"},
+                                                    {"check": "ell", "status": "pass"}]}
+        for name, stub in families.items():
+            monkeypatch.setattr(harness, name, stub)
+        report = harness.verify(ExperimentConfig())
+        assert (report["n_checks"], report["n_failed"], report["status"]) == (5, 1, "fail")
+        assert main(["verify"]) == 1
+        assert json.loads(capsys.readouterr().out)["checks"] == report["checks"]
+
 
 class TestKsStatistic:
     @staticmethod

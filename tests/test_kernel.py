@@ -372,6 +372,14 @@ class TestSpectralGap:
         est = spectral_gap(dk)
         assert est.gap == pytest.approx(1.0, abs=1e-12)
 
+    def test_one_cell_kernel_rejected(self):
+        # a one-cell kernel is the identity: it has no second eigenvalue
+        ell = level_set_function(exponential(3), PSS(3))
+        dk = discretize_pt(ell, build_tgrid(ell, 1))
+        assert dk.n == 1 and dk.weights[0] == pytest.approx(1.0)
+        with pytest.raises(DomainError, match="at least 2 grid cells, got 1"):
+            spectral_gap(dk)
+
     @pytest.mark.parametrize("target,fac", [(exponential(5), PSS(5)),
                                             (volcano(10, 2.0), PSS(10)),
                                             (exponential(30), USS()),

@@ -399,6 +399,27 @@ class TestScalarSolver:
         with pytest.raises(NoRootError):
             levelset._bisect(lambda x: -1.0, 0.0, 1e-300, 1e300)
 
+    def test_newton_iterations_are_capped(self, monkeypatch):
+        # the lower root of exponential PSS d=3 five below its supremum, from
+        # a bracket 8 wide in log r: found at the default cap, and one
+        # iteration cannot reach the 4-ulp stop
+        target = exponential(3)
+        prof = slice_profile(target, PSS(3))
+        lt = prof.log_sup - 5.0
+        top = math.log(prof.r_mode)
+        want = level_interval(prof, lt)[0]
+        args = (lt, top - 8.0, top, top - 4.0)
+        vec_args = tuple(np.array([v]) for v in args)
+        assert levelset._newton_scalar(target.phi, target.dphi, 2.0, *args) == pytest.approx(
+            want, rel=1e-13)
+        assert levelset._newton_log_radius(target, 2.0, *vec_args)[0] == pytest.approx(
+            want, rel=1e-13)
+        monkeypatch.setattr(levelset, "_MAX_EXPANSIONS", 1)
+        with pytest.raises(NoRootError, match="safeguarded Newton"):
+            levelset._newton_scalar(target.phi, target.dphi, 2.0, *args)
+        with pytest.raises(NoRootError, match="safeguarded Newton"):
+            levelset._newton_log_radius(target, 2.0, *vec_args)
+
 
 class TestLadder:
     """A chain's ladder gives the level intervals of :func:`level_interval`."""
@@ -766,6 +787,14 @@ class TestLambdaK:
         with pytest.raises(DomainError, match="finite support"):
             lambda_k_check(ell, 1)
 
+    def test_ell_vanishing_inside_support_rejected(self):
+        # ell = 1/t above t = e^-5 and 0 below it, though its support
+        # reaches level 0: the probes 5 to 40 below the supremum find it
+        ell = LevelSetFunction(log_eval=lambda lt: np.where(lt > -5.0, -lt, -np.inf),
+                               log_support_sup=0.0)
+        with pytest.raises(DomainError, match="vanished inside its claimed support"):
+            lambda_k_check(ell, 1)
+
     def test_report_serializes(self):
         ell = level_set_function(exponential(3), PSS(3))
         d = asdict(lambda_k_check(ell, 1))
@@ -818,6 +847,20 @@ class TestCanonicalConstruction:
             canonical_inverse_phi(ell, 0, 1.0)
         with pytest.raises(DomainError):
             canonical_potential(ell, 1, 0.0)
+
+    def test_radius_is_zero_at_an_empty_level(self):
+        # ell = 1/t above t = e^-5 and 0 below it: at s = 6 the level set is empty
+        ell = LevelSetFunction(log_eval=lambda lt: np.where(lt > -5.0, -lt, -np.inf),
+                               log_support_sup=0.0)
+        assert canonical_inverse_phi(ell, 1, 4.0) == pytest.approx(0.5 * math.exp(4.0))
+        assert canonical_inverse_phi(ell, 1, 6.0) == 0.0
+
+    def test_potential_search_is_capped(self):
+        # the comparator of exponential PSS d=3 reaches a radius of about
+        # 4500 at 700 nats above s0, its deepest search, so 1e6 is beyond it
+        ell = level_set_function(exponential(3), PSS(3))
+        with pytest.raises(NoRootError, match="beyond the comparator's support"):
+            canonical_potential(ell, 1, 1e6)
 
 
 class TestDefaultProbe:

@@ -4,6 +4,7 @@ import ast
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, strategies as st
 from slicegap import harness, samplers
 from slicegap.errors import DomainError
 from slicegap import levelset
+from slicegap.kernel import build_tgrid
 from slicegap.levelset import level_interval, level_set_function, slice_profile
 from slicegap.samplers import (
     PiTildeSampler,
@@ -238,6 +240,32 @@ class TestStationaryOracles:
         rng = make_rng(8)
         s = pit.sample(rng, 1000)
         assert np.all(np.isfinite(s))
+
+    def test_pi_tilde_reads_one_mass_window(self):
+        # exponential PSS d=3: the first window of the grid's mass search,
+        # 128 deep, holds the mass; the oracle evaluates it and its own grid
+        ell = level_set_function(exponential(3), PSS(3))
+        sizes = []
+
+        def log_eval(lt):
+            sizes.append(lt.size)
+            return ell.log_eval(lt)
+
+        pit = PiTildeSampler(replace(ell, log_eval=log_eval))
+        assert sizes == [1 << 12, samplers._ORACLE_CELLS + 1]
+        assert pit.grid[-1] == ell.log_support_sup
+        assert ell.log_support_sup - 128.0 < pit.grid[0] < ell.log_support_sup - 30.0
+
+    def test_pi_tilde_and_grid_share_their_error(self):
+        # USS exponential d = 1e5: the level law's mass lies about 1e5 below
+        # the supremum, in the lower half of the deepest window, so neither
+        # the certificate's grid nor the oracle finds it
+        ell = level_set_function(exponential(100_000), USS())
+        with pytest.raises(DomainError, match="does not concentrate") as grid_error:
+            build_tgrid(ell, 64)
+        with pytest.raises(DomainError) as oracle_error:
+            PiTildeSampler(ell)
+        assert str(oracle_error.value) == str(grid_error.value)
 
     def test_monotone_cdf(self):
         sampler = RadialStationarySampler(exponential(3))
